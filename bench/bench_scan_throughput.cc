@@ -152,7 +152,7 @@ double LptMakespan(std::vector<double> tasks, int cores) {
 }
 
 /// Real threaded wall-clock: workers pull morsels off an atomic queue,
-/// exactly like Executor::ExecDataScanMorsels.
+/// exactly like Executor::ExecDataScan.
 double ThreadedWallClock(const std::string& text,
                          const std::vector<std::pair<size_t, size_t>>& morsels,
                          const std::vector<PathStep>& steps, int threads) {

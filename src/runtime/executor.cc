@@ -18,6 +18,32 @@
 
 namespace jpar {
 
+namespace exec_detail {
+
+/// What one partition task or scan morsel produced: its output tuples
+/// plus private counters. Tasks never share these while they run; the
+/// operator folds them in task order once every task has finished.
+struct TaskResult {
+  Status status;
+  std::vector<Tuple> out;
+  double ms = 0;
+  uint64_t bytes = 0;  // input bytes, incl. JSON parsed by expressions
+  uint64_t items = 0;
+  uint64_t skipped = 0;
+  uint64_t batches = 0;
+  uint64_t blocks_pruned = 0;
+  uint64_t boundary_bytes = 0;
+  uint64_t max_tuple = 0;
+  // Scan morsels only.
+  bool ran = false;
+  bool built_stats = false;
+  PathStats path_stats;
+};
+
+}  // namespace exec_detail
+
+using exec_detail::TaskResult;
+
 namespace {
 
 using Clock = std::chrono::steady_clock;
@@ -105,41 +131,64 @@ Status EmitColumn(const ColumnData& column, const ScanDesc& scan,
   return Status::OK();
 }
 
-/// Batch-at-a-time pipeline driver (DESIGN.md §13): accumulates scan
-/// items / input tuples into a TupleBatch and runs the whole op chain
+/// Runs a pipeline's op chain over one task's input. Tuple mode pushes
+/// each tuple through RunChain. Batch mode (DESIGN.md §13) accumulates
+/// scan items / input tuples into a TupleBatch and runs the whole chain
 /// per batch via RunBatchChain. Survivors are materialized once at the
 /// pipeline boundary, where one frame serialization per emitted tuple
 /// is charged (the pipeline's real output write) — the per-operator
 /// boundary charges of the tuple path are exactly the work
-/// vectorization removes, so the driver's EvalContext runs with
-/// charge_boundaries off.
-class BatchPipe {
+/// vectorization removes, so batch mode runs its EvalContext with
+/// charge_boundaries off. Output and counters land in `task`.
+class OpPipe {
  public:
-  BatchPipe(const std::vector<UnaryOpDesc>* ops, EvalContext* ctx,
-            size_t capacity, std::function<Status()> check_fn,
-            std::vector<Tuple>* out, uint64_t* batches)
+  OpPipe(const std::vector<UnaryOpDesc>& ops, const Catalog* catalog,
+         MemoryTracker* memory, bool batch_mode, size_t capacity,
+         std::function<Status()> check_fn, TaskResult* task)
       : ops_(ops),
-        ctx_(ctx),
-        out_(out),
-        batches_(batches),
+        task_(task),
+        batch_mode_(batch_mode),
         check_(std::move(check_fn)),
         batch_(capacity) {
-    sink_ = [this](TupleBatch& b) -> Status { return Emit(b); };
+    ctx_.catalog = catalog;
+    ctx_.memory = memory;
+    ctx_.charge_boundaries = !batch_mode;
+    tuple_sink_ = [task](Tuple t) -> Status {
+      task->out.push_back(std::move(t));
+      return Status::OK();
+    };
+    batch_sink_ = [this](TupleBatch& b) -> Status { return Emit(b); };
   }
+  OpPipe(const OpPipe&) = delete;
+  OpPipe& operator=(const OpPipe&) = delete;
 
   Status PushItem(Item item) {
+    if (!batch_mode_) {
+      return RunChain(ops_, 0, Tuple{std::move(item)}, &ctx_, tuple_sink_);
+    }
     EnsureWidth(1);
     batch_.AppendRow(std::move(item));
     return batch_.full() ? Flush() : Status::OK();
   }
 
   Status PushTuple(Tuple t) {
+    if (!batch_mode_) {
+      return RunChain(ops_, 0, std::move(t), &ctx_, tuple_sink_);
+    }
     EnsureWidth(t.size());
     batch_.AppendTuple(std::move(t));
     return batch_.full() ? Flush() : Status::OK();
   }
 
-  Status Finish() { return batch_.empty() ? Status::OK() : Flush(); }
+  /// Flushes the last batch and folds the context's counters into the
+  /// task.
+  Status Finish() {
+    if (batch_mode_ && !batch_.empty()) JPAR_RETURN_NOT_OK(Flush());
+    task_->bytes += ctx_.bytes_parsed;
+    task_->boundary_bytes += ctx_.boundary_bytes;
+    task_->max_tuple = std::max(task_->max_tuple, ctx_.max_tuple_bytes);
+    return Status::OK();
+  }
 
  private:
   void EnsureWidth(size_t width) {
@@ -150,8 +199,9 @@ class BatchPipe {
   }
 
   Status Flush() {
-    JPAR_RETURN_NOT_OK(RunBatchChain(*ops_, &batch_, ctx_,
-                                     /*use_bytecode=*/true, &check_, sink_));
+    JPAR_RETURN_NOT_OK(RunBatchChain(ops_, &batch_, &ctx_,
+                                     /*use_bytecode=*/true, &check_,
+                                     batch_sink_));
     batch_.Reset(width_);
     return Status::OK();
   }
@@ -159,26 +209,76 @@ class BatchPipe {
   Status Emit(TupleBatch& b) {
     for (uint32_t row : b.selection()) {
       Tuple t = b.MaterializeRow(row);
-      ctx_->frame_scratch.clear();
-      size_t encoded = AppendTupleTo(t, &ctx_->frame_scratch);
-      ctx_->boundary_bytes += encoded;
-      ++ctx_->boundary_tuples;
-      if (encoded > ctx_->max_tuple_bytes) ctx_->max_tuple_bytes = encoded;
-      out_->push_back(std::move(t));
+      ctx_.frame_scratch.clear();
+      size_t encoded = AppendTupleTo(t, &ctx_.frame_scratch);
+      ctx_.boundary_bytes += encoded;
+      ++ctx_.boundary_tuples;
+      if (encoded > ctx_.max_tuple_bytes) ctx_.max_tuple_bytes = encoded;
+      task_->out.push_back(std::move(t));
     }
-    ++*batches_;
+    ++task_->batches;
     return Status::OK();
   }
 
-  const std::vector<UnaryOpDesc>* ops_;
-  EvalContext* ctx_;
-  std::vector<Tuple>* out_;
-  uint64_t* batches_;
+  const std::vector<UnaryOpDesc>& ops_;
+  TaskResult* task_;
+  const bool batch_mode_;
+  EvalContext ctx_;
   EvalCheck check_;
   TupleBatch batch_;
   size_t width_ = 0;
-  BatchSink sink_;
+  TupleSink tuple_sink_;
+  BatchSink batch_sink_;
 };
+
+/// Adds one finished task's counters to its stage and query.
+void FoldTask(const TaskResult& task, StageStats* stage, ExecStats* stats) {
+  stats->bytes_scanned += task.bytes;
+  stats->items_scanned += task.items;
+  stats->skipped_records += task.skipped;
+  stats->batches_emitted += task.batches;
+  stats->blocks_pruned += task.blocks_pruned;
+  stage->pipeline_bytes += task.boundary_bytes;
+  stage->max_tuple_bytes = std::max(stage->max_tuple_bytes, task.max_tuple);
+}
+
+/// Raises the query's peak retained bytes to an operator's peak.
+void NotePeak(const MemoryTracker& memory, ExecStats* stats) {
+  stats->peak_retained_bytes =
+      std::max(stats->peak_retained_bytes, memory.peak_bytes());
+}
+
+/// Adds a blocking operator's spill counters (null = spilling off).
+void NoteSpill(const SpillManager* spill, uint64_t merge_passes,
+               ExecStats* stats) {
+  if (spill == nullptr) return;
+  stats->spill_runs += spill->runs_created();
+  stats->spill_bytes_written += spill->bytes_written();
+  stats->spill_merge_passes += merge_passes;
+}
+
+/// The key a group-by stage hashes and groups on: node.keys over raw
+/// tuples, or columns [0, nkeys) over two-step partials (kGlobal).
+std::vector<ScalarEvalPtr> GroupKeyEvals(const PNode& node, AggStep step) {
+  if (step != AggStep::kGlobal) return node.keys;
+  std::vector<ScalarEvalPtr> columns;
+  for (size_t i = 0; i < node.keys.size(); ++i) {
+    columns.push_back(MakeColumnEval(static_cast<int>(i)));
+  }
+  return columns;
+}
+
+const char* GroupByStageName(AggStep step) {
+  switch (step) {
+    case AggStep::kLocal:
+      return "group-by (local)";
+    case AggStep::kGlobal:
+      return "group-by (global merge)";
+    case AggStep::kComplete:
+      break;
+  }
+  return "group-by (hash)";
+}
 
 /// Encodes the grouping/join key of a tuple under `key_evals`.
 Status EncodeKey(const std::vector<ScalarEvalPtr>& key_evals,
@@ -503,6 +603,52 @@ class SpillableGroupTable {
 
 }  // namespace
 
+namespace exec_detail {
+
+/// Per-scan settings shared by PlanFile and RunMorsel.
+struct ScanSetup {
+  const PNode* node = nullptr;
+  StoragePolicy storage;
+  StorageConfig storage_cfg;
+  StatsConfig stats_cfg;
+  std::string path;  // the projected path, keying columns and stats
+  bool stats_build = false;
+  bool lenient = false;
+  bool batch_mode = false;
+  size_t morsel_bytes = 0;  // 0 = one morsel per file
+};
+
+/// One unit of scan work: a whole binary file, a columnar-served file,
+/// or a newline-aligned byte range of a loaded text file. `partition`
+/// is the file's round-robin slot, so output order never depends on how
+/// files were split or which worker ran them.
+struct ScanMorsel {
+  int partition = 0;
+  const JsonFile* file = nullptr;
+  std::shared_ptr<const std::string> text;  // null for binary/columnar
+  size_t begin = 0;
+  size_t end = 0;
+  bool split_file = false;  // the file produced more than one morsel
+  // Warm-storage access path (DESIGN.md §14). A columnar-served file is
+  // one morsel with `column` set; a tape-accelerated file's morsels
+  // share the whole-file `tape` (indexed at absolute offsets, so `begin`
+  // doubles as the index origin). An unsplit cacheable file with
+  // `build_column` learns its column during the scan.
+  std::shared_ptr<const ColumnData> column;
+  std::shared_ptr<const StructuralIndex> tape;
+  FileSignature sig;
+  bool build_column = false;
+  // Stats tee (DESIGN.md §15): split files still sample — per-morsel
+  // partials merge in task order after the scan, unlike columns.
+  bool build_stats = false;
+  FileSignature stats_sig;
+};
+
+}  // namespace exec_detail
+
+using exec_detail::ScanMorsel;
+using exec_detail::ScanSetup;
+
 std::string PNode::ToString(int indent) const {
   std::string out;
   switch (kind) {
@@ -586,557 +732,121 @@ Result<Executor::PartitionSet> Executor::Exec(const PNode& node,
 
 Result<Executor::PartitionSet> Executor::ExecPipeline(
     const PNode& node, ExecStats* stats) const {
-  // Resolve input partitions.
+  const bool leaf = node.input == nullptr;
+  if (leaf && node.scan.kind == ScanDesc::Kind::kDataScan) {
+    return ExecDataScan(node, stats);
+  }
   PartitionSet input;
-  bool leaf = node.input == nullptr;
-  if (!leaf) {
+  if (leaf) {
+    // EMPTY-TUPLE-SOURCE runs on a single partition (the paper's
+    // pre-DATASCAN plans are serial until an exchange): one seed tuple,
+    // kept on the tuple path (and its exact boundary accounting) in
+    // every mode.
+    input.parts.assign(1, std::vector<Tuple>(1));
+  } else {
     JPAR_ASSIGN_OR_RETURN(input, Exec(*node.input, stats));
   }
-
-  // Determine partition task count.
-  int pcount;
-  const Collection* coll = nullptr;
-  // With an index-assisted scan, only this subset of file ids is read
-  // (null = all files).
-  const std::vector<int>* file_filter = nullptr;
-  if (leaf) {
-    if (node.scan.kind == ScanDesc::Kind::kDataScan) {
-      JPAR_ASSIGN_OR_RETURN(coll, catalog_->GetCollection(node.scan.collection));
-      if (node.scan.use_index) {
-        file_filter = catalog_->LookupPathIndex(
-            node.scan.collection, node.scan.index_path,
-            node.scan.index_value);
-        // A missing index (e.g. dropped after compilation) degrades to
-        // a full scan rather than failing the query.
-      }
-      size_t scannable =
-          file_filter != nullptr ? file_filter->size() : coll->files.size();
-      pcount = options_.partitions;
-      if (pcount > static_cast<int>(scannable) && scannable > 0) {
-        // No point in more scan partitions than files.
-        pcount = static_cast<int>(scannable);
-      }
-      if (pcount < 1) pcount = 1;
-    } else {
-      // EMPTY-TUPLE-SOURCE runs on a single partition (the paper's
-      // pre-DATASCAN plans are serial until an exchange).
-      pcount = 1;
-    }
-  } else {
-    pcount = static_cast<int>(input.parts.size());
-  }
-
-  // Threaded DATASCANs are morsel-driven: files are split into
-  // newline-aligned chunks pulled by a worker pool, so parallelism no
-  // longer stops at file granularity.
-  if (leaf && node.scan.kind == ScanDesc::Kind::kDataScan &&
-      options_.use_threads) {
-    return ExecDataScanMorsels(node, *coll, file_filter, pcount, stats);
-  }
+  const size_t pcount = input.parts.size();
+  const bool batch_mode = UseBatchMode() && !leaf;
 
   // With spilling enabled the limit is a soft budget: pipelines cannot
   // spill, so they track usage without failing (DESIGN.md §10).
   MemoryTracker memory(options_.memory_limit_bytes,
                        options_.spill == SpillMode::kEnabled);
-  StageStats stage;
-  stage.name = leaf ? node.scan.ToString() : "pipeline";
-  stage.partition_ms.assign(static_cast<size_t>(pcount), 0.0);
-
-  PartitionSet output;
-  output.parts.assign(static_cast<size_t>(pcount), {});
-  std::vector<Status> task_status(static_cast<size_t>(pcount));
-  std::vector<uint64_t> task_bytes(static_cast<size_t>(pcount), 0);
-  std::vector<uint64_t> task_items(static_cast<size_t>(pcount), 0);
-  std::vector<uint64_t> task_boundary_bytes(static_cast<size_t>(pcount), 0);
-  std::vector<uint64_t> task_max_tuple(static_cast<size_t>(pcount), 0);
-  std::vector<uint64_t> task_skipped(static_cast<size_t>(pcount), 0);
-  std::vector<uint64_t> task_batches(static_cast<size_t>(pcount), 0);
-  std::vector<uint64_t> task_tape_hits(static_cast<size_t>(pcount), 0);
-  std::vector<uint64_t> task_tape_builds(static_cast<size_t>(pcount), 0);
-  std::vector<uint64_t> task_columns_read(static_cast<size_t>(pcount), 0);
-  std::vector<uint64_t> task_blocks_pruned(static_cast<size_t>(pcount), 0);
-  std::vector<uint64_t> task_stats_built(static_cast<size_t>(pcount), 0);
-  const bool lenient_scan =
-      options_.on_parse_error == ParseErrorPolicy::kSkipAndCount;
-  // Warm-storage access-path selection (DESIGN.md §14), per file below:
-  // columnar read when the projected path is cached, tape-accelerated
-  // scan when the stage-1 index is cached, cold scan otherwise. The
-  // plan's cost-model access hint can only narrow what the options
-  // allow (DESIGN.md §15).
-  const StoragePolicy storage = ApplyAccessHint(
-      ResolveStoragePolicy(options_),
-      leaf && node.scan.kind == ScanDesc::Kind::kDataScan
-          ? node.scan.access_hint
-          : AccessHint::kAny);
-  const bool stats_build = StatsBuildEnabled(options_);
-  const StatsConfig stats_cfg = ResolveStatsConfig(options_);
-  const StorageConfig storage_cfg{options_.storage_budget_bytes,
-                                  options_.storage_cache_dir};
-  const std::string scan_path_str =
-      leaf && node.scan.kind == ScanDesc::Kind::kDataScan
-          ? PathToString(node.scan.steps)
-          : std::string();
-  // EMPTY-TUPLE-SOURCE pipelines emit one seed tuple; they keep the
-  // tuple path (and its exact boundary accounting) in every mode.
-  const bool batch_mode =
-      UseBatchMode() &&
-      !(leaf && node.scan.kind == ScanDesc::Kind::kEmptyTupleSource);
-
-  auto run_task = [&](int p) {
-    auto start = Clock::now();
-    EvalContext ctx;
-    ctx.catalog = catalog_;
-    ctx.memory = &memory;
-    ctx.charge_boundaries = !batch_mode;
-    std::vector<Tuple>& out = output.parts[static_cast<size_t>(p)];
-    TupleSink sink = [&out](Tuple t) -> Status {
-      out.push_back(std::move(t));
-      return Status::OK();
-    };
-    std::unique_ptr<BatchPipe> pipe;
-    if (batch_mode) {
-      pipe = std::make_unique<BatchPipe>(
-          &node.ops, &ctx, options_.batch_size,
-          [this]() { return Interrupted("pipeline"); }, &out,
-          &task_batches[static_cast<size_t>(p)]);
-    }
-    // One huge NDJSON file is a single partition task: poll the
-    // lifecycle every kCheckIntervalTuples emitted items, not only at
-    // file boundaries.
-    uint64_t& items = task_items[static_cast<size_t>(p)];
-    auto item_check = [&]() -> Status {
-      if (++items % kCheckIntervalTuples == 0) {
-        return Interrupted("pipeline");
-      }
-      return Status::OK();
-    };
-    Status st = Fault(FaultInjector::kWorkerStall);
-    if (leaf && node.scan.kind == ScanDesc::Kind::kDataScan && st.ok()) {
-      // Files (or the index-pruned subset) are assigned to partitions
-      // round-robin.
-      size_t file_count =
-          file_filter != nullptr ? file_filter->size() : coll->files.size();
-      for (size_t i = static_cast<size_t>(p); i < file_count;
-           i += static_cast<size_t>(pcount)) {
-        st = Interrupted("pipeline scan");
-        if (!st.ok()) break;
-        st = Fault(FaultInjector::kScanIOError);
-        if (!st.ok()) break;
-        const JsonFile& file =
-            file_filter != nullptr
-                ? coll->files[static_cast<size_t>((*file_filter)[i])]
-                : coll->files[i];
-        if (file.is_binary()) {
-          // Pre-loaded internal-model document: deserialize, then
-          // navigate the path steps in memory (no JSON parsing).
-          task_bytes[static_cast<size_t>(p)] += file.binary()->size();
-          auto doc = DeserializeItem(*file.binary());
-          if (!doc.ok()) {
-            st = doc.status();
-            break;
-          }
-          st = NavigateItemPath(*doc, node.scan.steps, 0,
-                                [&](Item item) -> Status {
-                                  JPAR_RETURN_NOT_OK(item_check());
-                                  if (pipe != nullptr) {
-                                    return pipe->PushItem(std::move(item));
-                                  }
-                                  return RunChain(node.ops, 0,
-                                                  Tuple{std::move(item)},
-                                                  &ctx, sink);
-                                });
-          if (!st.ok()) break;
-          continue;
-        }
-        auto emit = [&](Item item) -> Status {
-          JPAR_RETURN_NOT_OK(item_check());
-          if (pipe != nullptr) return pipe->PushItem(std::move(item));
-          return RunChain(node.ops, 0, Tuple{std::move(item)}, &ctx, sink);
-        };
-        const bool cacheable =
-            (storage.tapes || storage.columns) && FileCacheable(file);
-        // Columnar read: the cheapest access path — no JSON bytes
-        // touched, just the shredded values for this projected path.
-        // Strict scans refuse columns recorded with skipped records,
-        // so the cold path can surface the file's parse error.
-        if (cacheable && storage.columns) {
-          std::shared_ptr<const ColumnData> col =
-              StorageManager::Instance().GetColumn(file.path(),
-                                                   scan_path_str, storage_cfg);
-          if (col != nullptr &&
-              (lenient_scan || col->skipped_records == 0)) {
-            ++task_columns_read[static_cast<size_t>(p)];
-            task_bytes[static_cast<size_t>(p)] += col->bytes;
-            if (lenient_scan) {
-              task_skipped[static_cast<size_t>(p)] += col->skipped_records;
-            }
-            // Stats tee on the columnar path too: the column replays
-            // every item the building scan emitted, so the sample is
-            // identical to a parsing scan's — except under zone
-            // pruning, which drops blocks and would bias it (skipped).
-            std::unique_ptr<PathStats> col_stats;
-            FileSignature col_sig;
-            if (stats_build && node.scan.zone_op == ZoneCompare::kNone &&
-                StatsStore::Instance().Get(file.path(), scan_path_str,
-                                           stats_cfg) == nullptr) {
-              auto fresh = StatFileSignature(file.path());
-              if (fresh.ok()) {
-                col_sig = *fresh;
-                col_stats = std::make_unique<PathStats>();
-                col_stats->file_bytes = col_sig.size;
-              }
-            }
-            auto col_emit = [&](Item item) -> Status {
-              if (col_stats != nullptr) col_stats->Observe(item);
-              return emit(std::move(item));
-            };
-            st = EmitColumn(*col, node.scan, col_emit,
-                            &task_blocks_pruned[static_cast<size_t>(p)]);
-            if (!st.ok()) break;
-            if (col_stats != nullptr) {
-              StatsStore::Instance().Put(file.path(), scan_path_str,
-                                         *col_stats, col_sig, stats_cfg);
-              ++task_stats_built[static_cast<size_t>(p)];
-            }
-            continue;
-          }
-        }
-        // Tape-accelerated scan: cached file bytes + cached stage-1
-        // index; stage 2 runs as usual. A storage failure (stat/read
-        // race) degrades to the cold path below.
-        std::shared_ptr<const std::string> text;
-        std::shared_ptr<const StructuralIndex> tape;
-        FileSignature sig;
-        bool have_sig = false;
-        if (cacheable && storage.tapes &&
-            options_.scan_mode == ScanMode::kIndexed) {
-          auto tape_result =
-              StorageManager::Instance().AcquireTape(file.path(), storage_cfg);
-          if (tape_result.ok()) {
-            text = tape_result->text;
-            tape = tape_result->index;
-            sig = tape_result->signature;
-            have_sig = true;
-            if (tape_result->hit) {
-              ++task_tape_hits[static_cast<size_t>(p)];
-            } else {
-              ++task_tape_builds[static_cast<size_t>(p)];
-            }
-          }
-        }
-        if (text == nullptr) {
-          auto text_result = file.Load();
-          if (!text_result.ok()) {
-            st = text_result.status();
-            break;
-          }
-          text = *text_result;
-        }
-        task_bytes[static_cast<size_t>(p)] += text->size();
-        // First projecting scan of a cacheable file also shreds the
-        // path into a column for later queries (tee on the emit path).
-        std::unique_ptr<ColumnBuilder> builder;
-        if (cacheable && storage.columns && have_sig) {
-          builder = std::make_unique<ColumnBuilder>();
-        }
-        // Stats tee (DESIGN.md §15): the same parsing pass samples
-        // PathStats for the planner, once per (file, path) and only
-        // while no fresh sample exists.
-        std::unique_ptr<PathStats> stats_builder;
-        FileSignature stats_sig = sig;
-        if (stats_build && FileCacheable(file)) {
-          bool have_stats_sig = have_sig;
-          if (!have_stats_sig) {
-            auto fresh = StatFileSignature(file.path());
-            if (fresh.ok()) {
-              stats_sig = *fresh;
-              have_stats_sig = true;
-            }
-          }
-          if (have_stats_sig &&
-              StatsStore::Instance().Get(file.path(), scan_path_str,
-                                         stats_cfg) == nullptr) {
-            stats_builder = std::make_unique<PathStats>();
-            stats_builder->file_bytes = stats_sig.size;
-          }
-        }
-        ProjectionStats scan_pstats;
-        uint64_t skipped_before = task_skipped[static_cast<size_t>(p)];
-        // Collection files are document streams: one document or many
-        // (NDJSON / concatenated JSON). In lenient mode malformed
-        // records are skipped and counted instead of failing the scan.
-        st = ProjectJsonStreamWithIndex(
-            *text, node.scan.steps, tape.get(), 0,
-            [&](Item item) -> Status {
-              if (builder != nullptr) builder->Add(item);
-              if (stats_builder != nullptr) stats_builder->Observe(item);
-              return emit(std::move(item));
-            },
-            stats_builder != nullptr ? &scan_pstats : nullptr,
-            lenient_scan ? &task_skipped[static_cast<size_t>(p)] : nullptr,
-            options_.scan_mode);
-        if (!st.ok()) break;
-        if (builder != nullptr) {
-          StorageManager::Instance().PutColumn(
-              file.path(), scan_path_str,
-              builder->Finish(task_skipped[static_cast<size_t>(p)] -
-                              skipped_before),
-              sig, storage_cfg);
-        }
-        if (stats_builder != nullptr) {
-          stats_builder->documents = scan_pstats.documents;
-          StatsStore::Instance().Put(file.path(), scan_path_str,
-                                     *stats_builder, stats_sig, stats_cfg);
-          ++task_stats_built[static_cast<size_t>(p)];
-        }
-      }
-    } else if (st.ok() && leaf) {
-      st = RunChain(node.ops, 0, Tuple{}, &ctx, sink);
-    } else if (st.ok()) {
-      uint64_t processed = 0;
-      for (Tuple& t : input.parts[static_cast<size_t>(p)]) {
-        if (++processed % kCheckIntervalTuples == 0) {
-          st = Interrupted("pipeline");
-          if (!st.ok()) break;
-        }
-        st = pipe != nullptr ? pipe->PushTuple(std::move(t))
-                             : RunChain(node.ops, 0, std::move(t), &ctx, sink);
-        if (!st.ok()) break;
-      }
-      input.parts[static_cast<size_t>(p)].clear();
-    }
-    if (st.ok() && pipe != nullptr) st = pipe->Finish();
-    task_status[static_cast<size_t>(p)] = st;
-    task_bytes[static_cast<size_t>(p)] += ctx.bytes_parsed;
-    task_boundary_bytes[static_cast<size_t>(p)] = ctx.boundary_bytes;
-    task_max_tuple[static_cast<size_t>(p)] = ctx.max_tuple_bytes;
-    stage.partition_ms[static_cast<size_t>(p)] = ElapsedMs(start);
+  std::vector<TaskResult> tasks(pcount);
+  auto run_task = [&](size_t p) {
+    RunPipelinePartition(node.ops, std::move(input.parts[p]), batch_mode,
+                         &memory, &tasks[p]);
   };
-
   if (options_.use_threads && pcount > 1) {
     std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(pcount));
-    for (int p = 0; p < pcount; ++p) threads.emplace_back(run_task, p);
+    threads.reserve(pcount);
+    for (size_t p = 0; p < pcount; ++p) threads.emplace_back(run_task, p);
     for (std::thread& t : threads) t.join();
   } else {
-    for (int p = 0; p < pcount; ++p) run_task(p);
+    for (size_t p = 0; p < pcount; ++p) run_task(p);
   }
 
-  for (int p = 0; p < pcount; ++p) {
-    JPAR_RETURN_NOT_OK(task_status[static_cast<size_t>(p)]);
-    stats->bytes_scanned += task_bytes[static_cast<size_t>(p)];
-    stats->items_scanned += task_items[static_cast<size_t>(p)];
-    stats->skipped_records += task_skipped[static_cast<size_t>(p)];
-    stats->batches_emitted += task_batches[static_cast<size_t>(p)];
-    stats->tape_hits += task_tape_hits[static_cast<size_t>(p)];
-    stats->tape_builds += task_tape_builds[static_cast<size_t>(p)];
-    stats->columns_read += task_columns_read[static_cast<size_t>(p)];
-    stats->blocks_pruned += task_blocks_pruned[static_cast<size_t>(p)];
-    stats->stats_paths_built += task_stats_built[static_cast<size_t>(p)];
-    stage.pipeline_bytes += task_boundary_bytes[static_cast<size_t>(p)];
-    if (task_max_tuple[static_cast<size_t>(p)] > stage.max_tuple_bytes) {
-      stage.max_tuple_bytes = task_max_tuple[static_cast<size_t>(p)];
-    }
+  StageStats stage;
+  stage.name = leaf ? node.scan.ToString() : "pipeline";
+  PartitionSet output;
+  output.parts.resize(pcount);
+  for (size_t p = 0; p < pcount; ++p) {
+    JPAR_RETURN_NOT_OK(tasks[p].status);
+    output.parts[p] = std::move(tasks[p].out);
+    stage.partition_ms.push_back(tasks[p].ms);
+    FoldTask(tasks[p], &stage, stats);
   }
-  if (memory.peak_bytes() > stats->peak_retained_bytes) {
-    stats->peak_retained_bytes = memory.peak_bytes();
-  }
+  NotePeak(memory, stats);
   stats->Merge(stage);
   return output;
 }
 
-Result<Executor::PartitionSet> Executor::ExecDataScanMorsels(
-    const PNode& node, const Collection& coll,
-    const std::vector<int>* file_filter, int pcount,
-    ExecStats* stats) const {
-  const bool lenient =
-      options_.on_parse_error == ParseErrorPolicy::kSkipAndCount;
-
-  // One unit of scan work: a byte range of a loaded file (binary files
-  // are always a single morsel). Partition assignment follows the
-  // file's round-robin slot so output ordering matches the sequential
-  // scan exactly.
-  struct Morsel {
-    int partition = 0;
-    const JsonFile* binary = nullptr;          // binary-item files
-    std::shared_ptr<const std::string> text;   // null for binary files
-    size_t begin = 0;
-    size_t end = 0;
-    bool split_file = false;  // file produced more than one morsel
-    // Warm-storage access path (DESIGN.md §14). A columnar-served file
-    // is one task with `column` set; a tape-accelerated file's morsels
-    // share the whole-file `tape` (indexed at absolute offsets, so
-    // `begin` doubles as the index origin). An unsplit cacheable file
-    // with `build_column` learns its column during the scan.
-    std::shared_ptr<const ColumnData> column;
-    std::shared_ptr<const StructuralIndex> tape;
-    const JsonFile* file = nullptr;
-    FileSignature sig;
-    bool build_column = false;
-    // Stats tee (DESIGN.md §15): split files still sample — per-morsel
-    // partials merge in task order after the join, unlike columns.
-    bool build_stats = false;
-    FileSignature stats_sig;
-  };
-  // Private per-morsel result slot; nothing is shared between workers
-  // until the post-join merge.
-  struct Slot {
-    Status status;
-    std::vector<Tuple> out;
-    uint64_t bytes = 0;
-    uint64_t items = 0;
-    uint64_t boundary_bytes = 0;
-    uint64_t max_tuple = 0;
-    uint64_t skipped = 0;
-    uint64_t batches = 0;
-    uint64_t blocks_pruned = 0;
-    bool ran = false;
-    PathStats path_stats;
-    bool built_stats = false;
-  };
-
-  // Warm-storage access-path selection runs here on the coordinator
-  // (tape acquisition and column lookup are serialized, never raced by
-  // the worker pool); workers only consume the resulting shared_ptrs.
-  // The plan's cost-model access hint narrows, never widens, what the
-  // options allow (DESIGN.md §15).
-  const StoragePolicy storage =
-      ApplyAccessHint(ResolveStoragePolicy(options_), node.scan.access_hint);
-  const StorageConfig storage_cfg{options_.storage_budget_bytes,
-                                  options_.storage_cache_dir};
-  const std::string scan_path_str = PathToString(node.scan.steps);
-  const bool stats_build = StatsBuildEnabled(options_);
-  const StatsConfig stats_cfg = ResolveStatsConfig(options_);
-  // Cost-model morsel sizing applies only while the user left
-  // morsel_bytes at its default — an explicit knob always wins.
-  size_t morsel_bytes = options_.morsel_bytes;
-  if (node.scan.morsel_bytes_hint > 0 &&
-      morsel_bytes == ExecOptions::kDefaultMorselBytes) {
-    morsel_bytes = node.scan.morsel_bytes_hint;
-  }
-
-  size_t file_count =
-      file_filter != nullptr ? file_filter->size() : coll.files.size();
-  std::vector<Morsel> tasks;
-  std::vector<size_t> file_first_task(file_count, 0);
-  std::vector<size_t> file_task_count(file_count, 0);
-  for (size_t i = 0; i < file_count; ++i) {
-    JPAR_RETURN_NOT_OK(Interrupted("pipeline scan"));
-    JPAR_RETURN_NOT_OK(Fault(FaultInjector::kScanIOError));
-    const JsonFile& file =
-        file_filter != nullptr
-            ? coll.files[static_cast<size_t>((*file_filter)[i])]
-            : coll.files[i];
-    file_first_task[i] = tasks.size();
-    Morsel m;
-    m.partition = static_cast<int>(i % static_cast<size_t>(pcount));
-    const bool cacheable =
-        (storage.tapes || storage.columns) && FileCacheable(file);
-    if (file.is_binary()) {
-      m.binary = &file;
-      tasks.push_back(m);
-    } else if (std::shared_ptr<const ColumnData> col =
-                   cacheable && storage.columns
-                       ? StorageManager::Instance().GetColumn(
-                             file.path(), scan_path_str, storage_cfg)
-                       : nullptr;
-               col != nullptr && (lenient || col->skipped_records == 0)) {
-      // Columnar-served file: one task, no JSON bytes, no splitting.
-      m.column = std::move(col);
-      m.file = &file;
-      // Columnar scans sample stats too (same tee as the sequential
-      // path); zone pruning drops blocks and would bias the sample, so
-      // pruned reads don't.
-      if (stats_build && node.scan.zone_op == ZoneCompare::kNone &&
-          FileCacheable(file) &&
-          StatsStore::Instance().Get(file.path(), scan_path_str,
-                                     stats_cfg) == nullptr) {
-        auto fresh = StatFileSignature(file.path());
-        if (fresh.ok()) {
-          m.stats_sig = *fresh;
-          m.build_stats = true;
-        }
+void Executor::RunPipelinePartition(const std::vector<UnaryOpDesc>& ops,
+                                    std::vector<Tuple> input, bool batch_mode,
+                                    MemoryTracker* memory,
+                                    TaskResult* task) const {
+  auto start = Clock::now();
+  task->status = [&]() -> Status {
+    JPAR_RETURN_NOT_OK(Fault(FaultInjector::kWorkerStall));
+    OpPipe pipe(ops, catalog_, memory, batch_mode, options_.batch_size,
+                [this]() { return Interrupted("pipeline"); }, task);
+    uint64_t processed = 0;
+    for (Tuple& t : input) {
+      if (++processed % kCheckIntervalTuples == 0) {
+        JPAR_RETURN_NOT_OK(Interrupted("pipeline"));
       }
-      ++stats->columns_read;
-      tasks.push_back(m);
-    } else {
-      m.file = &file;
-      bool have_sig = false;
-      if (cacheable && storage.tapes &&
-          options_.scan_mode == ScanMode::kIndexed) {
-        auto tape_result =
-            StorageManager::Instance().AcquireTape(file.path(), storage_cfg);
-        if (tape_result.ok()) {
-          m.text = tape_result->text;
-          m.tape = tape_result->index;
-          m.sig = tape_result->signature;
-          have_sig = true;
-          if (tape_result->hit) {
-            ++stats->tape_hits;
-          } else {
-            ++stats->tape_builds;
-          }
-        }
-      }
-      if (m.text == nullptr) {
-        JPAR_ASSIGN_OR_RETURN(m.text, file.Load());
-      }
-      // Unsplit cacheable files learn their column during this scan;
-      // split files don't (per-morsel fragments are not a whole column).
-      m.build_column = cacheable && storage.columns && have_sig;
-      if (stats_build && FileCacheable(file)) {
-        bool have_stats_sig = have_sig;
-        m.stats_sig = m.sig;
-        if (!have_stats_sig) {
-          auto fresh = StatFileSignature(file.path());
-          if (fresh.ok()) {
-            m.stats_sig = *fresh;
-            have_stats_sig = true;
-          }
-        }
-        m.build_stats =
-            have_stats_sig &&
-            StatsStore::Instance().Get(file.path(), scan_path_str,
-                                       stats_cfg) == nullptr;
-      }
-      // A kColumnar access hint pins a column-learnable file to a
-      // single morsel so the column actually materializes this scan
-      // (split morsels can't build columns); morsel boundaries never
-      // change results, only scheduling, so the trade is pure
-      // investment.
-      const bool invest_columnar =
-          m.build_column && node.scan.access_hint == AccessHint::kColumnar;
-      const char* base = m.text->data();
-      size_t n = m.text->size();
-      size_t begin = 0;
-      do {
-        Morsel part = m;
-        part.begin = begin;
-        size_t end = n;
-        if (!invest_columnar && morsel_bytes > 0 &&
-            begin + morsel_bytes < n) {
-          // Newline-aligned split: end after the first '\n' at or past
-          // the size target (same raw-byte newlines the degraded scan
-          // resyncs on).
-          size_t target = begin + morsel_bytes - 1;
-          const void* nl = std::memchr(base + target, '\n', n - target);
-          end = nl == nullptr
-                    ? n
-                    : static_cast<size_t>(static_cast<const char*>(nl) -
-                                          base) +
-                          1;
-        }
-        part.end = end;
-        tasks.push_back(part);
-        begin = end;
-      } while (begin < n);
+      JPAR_RETURN_NOT_OK(pipe.PushTuple(std::move(t)));
     }
-    file_task_count[i] = tasks.size() - file_first_task[i];
-    if (file_task_count[i] > 1) {
-      for (size_t t = file_first_task[i]; t < tasks.size(); ++t) {
-        tasks[t].split_file = true;
-        tasks[t].build_column = false;
-      }
+    return pipe.Finish();
+  }();
+  task->ms = ElapsedMs(start);
+}
+
+Result<Executor::PartitionSet> Executor::ExecDataScan(
+    const PNode& node, ExecStats* stats) const {
+  JPAR_ASSIGN_OR_RETURN(const Collection* coll,
+                        catalog_->GetCollection(node.scan.collection));
+  // With an index-assisted scan, only this subset of file ids is read
+  // (null = all files). A missing index (e.g. dropped after
+  // compilation) degrades to a full scan rather than failing the query.
+  const std::vector<int>* file_filter =
+      node.scan.use_index
+          ? catalog_->LookupPathIndex(node.scan.collection,
+                                      node.scan.index_path,
+                                      node.scan.index_value)
+          : nullptr;
+  const size_t file_count =
+      file_filter != nullptr ? file_filter->size() : coll->files.size();
+  // Files are assigned to partitions round-robin; there is no point in
+  // more scan partitions than files.
+  int pcount = options_.partitions;
+  if (file_count > 0 && pcount > static_cast<int>(file_count)) {
+    pcount = static_cast<int>(file_count);
+  }
+  if (pcount < 1) pcount = 1;
+
+  ScanSetup setup;
+  setup.node = &node;
+  // Warm-storage access paths (DESIGN.md §14); the plan's cost-model
+  // access hint narrows, never widens, what the options allow (§15).
+  setup.storage =
+      ApplyAccessHint(ResolveStoragePolicy(options_), node.scan.access_hint);
+  setup.storage_cfg = {options_.storage_budget_bytes,
+                       options_.storage_cache_dir};
+  setup.stats_cfg = ResolveStatsConfig(options_);
+  setup.path = PathToString(node.scan.steps);
+  setup.stats_build = StatsBuildEnabled(options_);
+  setup.lenient = options_.on_parse_error == ParseErrorPolicy::kSkipAndCount;
+  setup.batch_mode = UseBatchMode();
+  if (options_.use_threads) {
+    // Only threaded scans split files. Cost-model morsel sizing applies
+    // only while the user left morsel_bytes at its default — an
+    // explicit knob always wins.
+    setup.morsel_bytes = options_.morsel_bytes;
+    if (node.scan.morsel_bytes_hint > 0 &&
+        setup.morsel_bytes == ExecOptions::kDefaultMorselBytes) {
+      setup.morsel_bytes = node.scan.morsel_bytes_hint;
     }
   }
 
@@ -1144,226 +854,325 @@ Result<Executor::PartitionSet> Executor::ExecDataScanMorsels(
                        options_.spill == SpillMode::kEnabled);
   StageStats stage;
   stage.name = node.scan.ToString();
-  int workers = pcount;
-  if (!tasks.empty() && workers > static_cast<int>(tasks.size())) {
-    workers = static_cast<int>(tasks.size());
+  stage.partition_ms.assign(static_cast<size_t>(pcount), 0.0);
+  std::vector<ScanMorsel> tasks;
+  std::vector<TaskResult> slots;
+  // File i's morsels are tasks [first, first + count).
+  std::vector<std::pair<size_t, size_t>> file_tasks(file_count);
+
+  // Planning runs on the calling thread, in file order: storage-tier
+  // lookups and tape builds are serialized, never raced by workers.
+  // Without threads the calling thread is also the scan's one worker,
+  // and it runs each file's single morsel right after planning it.
+  if (!options_.use_threads) {
+    JPAR_RETURN_NOT_OK(Fault(FaultInjector::kWorkerStall));
   }
-  if (workers < 1) workers = 1;
-  stage.partition_ms.assign(static_cast<size_t>(workers), 0.0);
-
-  std::vector<Slot> slots(tasks.size());
-  std::vector<Status> worker_status(static_cast<size_t>(workers));
-  std::atomic<size_t> next_task{0};
-  std::atomic<bool> abort{false};
-
-  const bool batch_mode = UseBatchMode();
-  auto run_morsel = [&](const Morsel& m, Slot* slot) {
-    slot->ran = true;
-    Status st = Interrupted("pipeline scan");
-    if (st.ok()) {
-      EvalContext ctx;
-      ctx.catalog = catalog_;
-      ctx.memory = &memory;
-      ctx.charge_boundaries = !batch_mode;
-      TupleSink sink = [slot](Tuple t) -> Status {
-        slot->out.push_back(std::move(t));
-        return Status::OK();
-      };
-      std::unique_ptr<BatchPipe> pipe;
-      if (batch_mode) {
-        pipe = std::make_unique<BatchPipe>(
-            &node.ops, &ctx, options_.batch_size,
-            [this]() { return Interrupted("pipeline"); }, &slot->out,
-            &slot->batches);
-      }
-      auto emit = [&](Item item) -> Status {
-        if (++slot->items % kCheckIntervalTuples == 0) {
-          JPAR_RETURN_NOT_OK(Interrupted("pipeline"));
-        }
-        if (pipe != nullptr) return pipe->PushItem(std::move(item));
-        return RunChain(node.ops, 0, Tuple{std::move(item)}, &ctx, sink);
-      };
-      if (m.binary != nullptr) {
-        slot->bytes += m.binary->binary()->size();
-        auto doc = DeserializeItem(*m.binary->binary());
-        st = doc.ok() ? NavigateItemPath(*doc, node.scan.steps, 0, emit)
-                      : doc.status();
-      } else if (m.column != nullptr) {
-        // Columnar read: emit the cached values; zone maps prune whole
-        // blocks against the scan's annotated SELECT predicate.
-        slot->bytes += m.column->bytes;
-        if (lenient) slot->skipped += m.column->skipped_records;
-        std::function<Status(Item)> col_emit = emit;
-        if (m.build_stats) {
-          col_emit = [&](Item item) -> Status {
-            slot->path_stats.Observe(item);
-            return emit(std::move(item));
-          };
-        }
-        st = EmitColumn(*m.column, node.scan, col_emit,
-                        &slot->blocks_pruned);
-        if (st.ok() && m.build_stats) slot->built_stats = true;
-      } else {
-        std::string_view view(*m.text);
-        view = view.substr(m.begin, m.end - m.begin);
-        slot->bytes += view.size();
-        // With a cached tape, the whole-file index serves this morsel
-        // at absolute offsets (index origin = m.begin); without one,
-        // stage 1 is built over just this sub-view as before.
-        std::unique_ptr<ColumnBuilder> builder;
-        if (m.build_column) builder = std::make_unique<ColumnBuilder>();
-        std::function<Status(Item)> scan_emit = emit;
-        if (builder != nullptr || m.build_stats) {
-          scan_emit = [&](Item item) -> Status {
-            if (builder != nullptr) builder->Add(item);
-            if (m.build_stats) slot->path_stats.Observe(item);
-            return emit(std::move(item));
-          };
-        }
-        ProjectionStats scan_pstats;
-        st = ProjectJsonStreamWithIndex(view, node.scan.steps, m.tape.get(),
-                                        m.begin, scan_emit,
-                                        m.build_stats ? &scan_pstats : nullptr,
-                                        lenient ? &slot->skipped : nullptr,
-                                        options_.scan_mode);
-        if (st.ok() && builder != nullptr) {
-          StorageManager::Instance().PutColumn(
-              m.file->path(), scan_path_str, builder->Finish(slot->skipped),
-              m.sig, storage_cfg);
-        }
-        if (st.ok() && m.build_stats) {
-          slot->path_stats.documents = scan_pstats.documents;
-          slot->built_stats = true;
-        }
-      }
-      if (st.ok() && pipe != nullptr) st = pipe->Finish();
-      slot->bytes += ctx.bytes_parsed;
-      slot->boundary_bytes = ctx.boundary_bytes;
-      slot->max_tuple = ctx.max_tuple_bytes;
-    }
-    slot->status = st;
-  };
-
-  auto worker = [&](int w) {
+  for (size_t i = 0; i < file_count; ++i) {
+    JPAR_RETURN_NOT_OK(Interrupted("pipeline scan"));
+    JPAR_RETURN_NOT_OK(Fault(FaultInjector::kScanIOError));
+    const JsonFile& file =
+        coll->files[file_filter != nullptr
+                        ? static_cast<size_t>((*file_filter)[i])
+                        : i];
+    const size_t partition = i % static_cast<size_t>(pcount);
     auto start = Clock::now();
-    Status st = Fault(FaultInjector::kWorkerStall);
-    if (!st.ok()) {
-      worker_status[static_cast<size_t>(w)] = st;
-      abort.store(true, std::memory_order_relaxed);
-    } else {
+    const size_t first = tasks.size();
+    JPAR_RETURN_NOT_OK(PlanFile(setup, file, static_cast<int>(partition),
+                                stats, &tasks));
+    file_tasks[i] = {first, tasks.size() - first};
+    stage.partition_ms[partition] += ElapsedMs(start);
+    if (!options_.use_threads) {
+      // Drop the file's bytes once its morsel has run, so a sequential
+      // scan holds one file at a time.
+      ScanMorsel& m = tasks.back();
+      slots.emplace_back();
+      RunMorsel(setup, m, &memory, &slots.back());
+      JPAR_RETURN_NOT_OK(slots.back().status);
+      m.text.reset();
+      m.tape.reset();
+      m.column.reset();
+    }
+  }
+
+  if (options_.use_threads) {
+    slots.resize(tasks.size());
+    int workers = pcount;
+    if (!tasks.empty() && workers > static_cast<int>(tasks.size())) {
+      workers = static_cast<int>(tasks.size());
+    }
+    std::vector<Status> worker_status(static_cast<size_t>(workers));
+    std::atomic<size_t> next_task{0};
+    std::atomic<bool> abort{false};
+    auto worker = [&](int w) {
+      Status st = Fault(FaultInjector::kWorkerStall);
+      if (!st.ok()) {
+        worker_status[static_cast<size_t>(w)] = st;
+        abort.store(true, std::memory_order_relaxed);
+        return;
+      }
       while (!abort.load(std::memory_order_relaxed)) {
         size_t t = next_task.fetch_add(1, std::memory_order_relaxed);
         if (t >= tasks.size()) break;
-        Slot& slot = slots[t];
-        run_morsel(tasks[t], &slot);
-        if (!slot.status.ok() &&
-            !(slot.status.code() == StatusCode::kParseError &&
-              tasks[t].split_file && !lenient)) {
+        RunMorsel(setup, tasks[t], &memory, &slots[t]);
+        const Status& ts = slots[t].status;
+        if (!ts.ok() && !(ts.code() == StatusCode::kParseError &&
+                          tasks[t].split_file && !setup.lenient)) {
           // Unrecoverable (cancel, deadline, fault, real parse error of
           // an unsplit file): stop handing out work. Split-file parse
           // errors are handled by the whole-file fallback below.
           abort.store(true, std::memory_order_relaxed);
         }
       }
+    };
+    if (workers > 1) {
+      std::vector<std::thread> threads;
+      threads.reserve(static_cast<size_t>(workers));
+      for (int w = 0; w < workers; ++w) threads.emplace_back(worker, w);
+      for (std::thread& t : threads) t.join();
+    } else {
+      worker(0);
     }
-    stage.partition_ms[static_cast<size_t>(w)] = ElapsedMs(start);
-  };
 
-  if (workers > 1) {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(workers));
-    for (int w = 0; w < workers; ++w) threads.emplace_back(worker, w);
-    for (std::thread& t : threads) t.join();
-  } else {
-    worker(0);
-  }
-
-  // Strict-mode whole-file fallback. A record spanning a morsel
-  // boundary (a document with newlines inside tokens or strings) always
-  // makes some morsel fail to parse — no JSON value can end cleanly at
-  // a mid-record newline — so rescanning the file as one task restores
-  // exact sequential semantics. Genuinely malformed files fail with the
-  // same error either way, at the cost of one wasted scan.
-  if (!lenient) {
-    for (size_t i = 0; i < file_count; ++i) {
-      if (file_task_count[i] <= 1) continue;
-      size_t first = file_first_task[i];
-      size_t end = first + file_task_count[i];
-      bool parse_failed = false;
-      for (size_t t = first; t < end; ++t) {
-        if (slots[t].ran &&
-            slots[t].status.code() == StatusCode::kParseError) {
-          parse_failed = true;
-          break;
-        }
+    // Strict-mode whole-file fallback. A record spanning a morsel
+    // boundary (a document with newlines inside tokens or strings)
+    // always makes some morsel fail to parse — no JSON value can end
+    // cleanly at a mid-record newline — so rescanning the file as one
+    // task restores exact unsplit semantics. Genuinely malformed files
+    // fail with the same error either way, at the cost of one wasted
+    // scan.
+    for (auto [first, count] : file_tasks) {
+      if (setup.lenient || count <= 1) continue;
+      auto begin = slots.begin() + static_cast<std::ptrdiff_t>(first);
+      if (std::none_of(begin, begin + static_cast<std::ptrdiff_t>(count),
+                       [](const TaskResult& slot) {
+                         return slot.ran && slot.status.code() ==
+                                                StatusCode::kParseError;
+                       })) {
+        continue;
       }
-      if (!parse_failed) continue;
-      for (size_t t = first; t < end; ++t) slots[t] = Slot{};
-      Morsel whole = tasks[first];
+      for (size_t t = first; t < first + count; ++t) slots[t] = TaskResult{};
+      ScanMorsel whole = tasks[first];
       whole.begin = 0;
       whole.end = whole.text->size();
       whole.split_file = false;
-      run_morsel(whole, &slots[first]);
+      RunMorsel(setup, whole, &memory, &slots[first]);
     }
+    for (const Status& st : worker_status) JPAR_RETURN_NOT_OK(st);
   }
-
-  for (int w = 0; w < workers; ++w) {
-    JPAR_RETURN_NOT_OK(worker_status[static_cast<size_t>(w)]);
-  }
-  for (const Slot& slot : slots) {
-    JPAR_RETURN_NOT_OK(slot.status);
-  }
+  // The first failure in file order, whichever mode ran the scan.
+  for (const TaskResult& slot : slots) JPAR_RETURN_NOT_OK(slot.status);
 
   // Install sampled stats: per-morsel partials merge in task order into
   // one whole-file sample (the register-max sketch merge makes the
   // result independent of which worker ran which morsel). After a
   // strict-mode fallback only the whole-file slot carries a sample.
-  for (size_t i = 0; i < file_count; ++i) {
-    size_t first = file_first_task[i];
-    size_t endt = first + file_task_count[i];
-    if (endt <= first || !tasks[first].build_stats) continue;
+  for (auto [first, count] : file_tasks) {
+    if (count == 0 || !tasks[first].build_stats) continue;
     PathStats merged;
     bool any = false;
-    for (size_t t = first; t < endt; ++t) {
+    for (size_t t = first; t < first + count; ++t) {
       if (!slots[t].built_stats) continue;
       merged.MergeFrom(slots[t].path_stats);
       any = true;
     }
     if (!any) continue;
     merged.file_bytes = tasks[first].stats_sig.size;
-    StatsStore::Instance().Put(tasks[first].file->path(), scan_path_str,
-                               merged, tasks[first].stats_sig, stats_cfg);
+    StatsStore::Instance().Put(tasks[first].file->path(), setup.path, merged,
+                               tasks[first].stats_sig, setup.stats_cfg);
     ++stats->stats_paths_built;
   }
 
   PartitionSet output;
   output.parts.assign(static_cast<size_t>(pcount), {});
   for (size_t t = 0; t < tasks.size(); ++t) {
-    Slot& slot = slots[t];
-    std::vector<Tuple>& out =
-        output.parts[static_cast<size_t>(tasks[t].partition)];
+    TaskResult& slot = slots[t];
+    const size_t partition = static_cast<size_t>(tasks[t].partition);
+    std::vector<Tuple>& out = output.parts[partition];
     if (out.empty()) {
       out = std::move(slot.out);
     } else {
       out.insert(out.end(), std::make_move_iterator(slot.out.begin()),
                  std::make_move_iterator(slot.out.end()));
     }
-    stats->bytes_scanned += slot.bytes;
-    stats->items_scanned += slot.items;
-    stats->skipped_records += slot.skipped;
-    stats->batches_emitted += slot.batches;
-    stats->blocks_pruned += slot.blocks_pruned;
+    stage.partition_ms[partition] += slot.ms;
     if (slot.ran) ++stats->morsels_scanned;
-    stage.pipeline_bytes += slot.boundary_bytes;
-    if (slot.max_tuple > stage.max_tuple_bytes) {
-      stage.max_tuple_bytes = slot.max_tuple;
-    }
+    FoldTask(slot, &stage, stats);
   }
-  if (memory.peak_bytes() > stats->peak_retained_bytes) {
-    stats->peak_retained_bytes = memory.peak_bytes();
-  }
+  NotePeak(memory, stats);
   stats->Merge(stage);
   return output;
+}
+
+Status Executor::PlanFile(const ScanSetup& setup, const JsonFile& file,
+                          int partition, ExecStats* stats,
+                          std::vector<ScanMorsel>* tasks) const {
+  ScanMorsel m;
+  m.partition = partition;
+  m.file = &file;
+  if (file.is_binary()) {
+    // Pre-loaded internal-model document: one morsel, no JSON parsing.
+    tasks->push_back(std::move(m));
+    return Status::OK();
+  }
+  const bool cacheable = (setup.storage.tapes || setup.storage.columns) &&
+                         FileCacheable(file);
+  // Stats tee (DESIGN.md §15): the scan samples PathStats for the
+  // planner, once per (file, path) and only while no fresh sample
+  // exists, under the tape's signature when there is one.
+  auto want_stats = [&](bool have_sig) {
+    if (!setup.stats_build || !FileCacheable(file)) return false;
+    m.stats_sig = m.sig;
+    if (!have_sig) {
+      auto fresh = StatFileSignature(file.path());
+      if (!fresh.ok()) return false;
+      m.stats_sig = *fresh;
+    }
+    return StatsStore::Instance().Get(file.path(), setup.path,
+                                      setup.stats_cfg) == nullptr;
+  };
+  // Columnar read: the cheapest access path — no JSON bytes touched,
+  // just the shredded values for this projected path. Strict scans
+  // refuse columns recorded with skipped records, so the cold path can
+  // surface the file's parse error.
+  std::shared_ptr<const ColumnData> column =
+      cacheable && setup.storage.columns
+          ? StorageManager::Instance().GetColumn(file.path(), setup.path,
+                                                 setup.storage_cfg)
+          : nullptr;
+  if (column != nullptr && (setup.lenient || column->skipped_records == 0)) {
+    m.column = std::move(column);
+    // The column replays every item the building scan emitted, so its
+    // sample equals a parsing scan's — except under zone pruning, which
+    // drops blocks and would bias it.
+    m.build_stats =
+        setup.node->scan.zone_op == ZoneCompare::kNone && want_stats(false);
+    ++stats->columns_read;
+    tasks->push_back(std::move(m));
+    return Status::OK();
+  }
+  // Tape-accelerated scan: cached file bytes + cached stage-1 index;
+  // stage 2 runs as usual. A storage failure (stat/read race) degrades
+  // to the cold path.
+  bool have_sig = false;
+  if (cacheable && setup.storage.tapes &&
+      options_.scan_mode == ScanMode::kIndexed) {
+    auto tape =
+        StorageManager::Instance().AcquireTape(file.path(), setup.storage_cfg);
+    if (tape.ok()) {
+      m.text = tape->text;
+      m.tape = tape->index;
+      m.sig = tape->signature;
+      have_sig = true;
+      ++(tape->hit ? stats->tape_hits : stats->tape_builds);
+    }
+  }
+  if (m.text == nullptr) {
+    JPAR_ASSIGN_OR_RETURN(m.text, file.Load());
+  }
+  // The first projecting scan of a cacheable file also shreds the path
+  // into a column for later queries (a tee on the emit path).
+  m.build_column = cacheable && setup.storage.columns && have_sig;
+  m.build_stats = want_stats(have_sig);
+
+  // Newline-aligned split: each morsel ends after the first '\n' at or
+  // past the size target (the same raw-byte newlines the degraded scan
+  // resyncs on). A kColumnar access hint pins a column-learnable file
+  // to one morsel so the column actually materializes this scan (split
+  // morsels can't build columns); morsel boundaries never change
+  // results, only scheduling, so the trade is pure investment.
+  const bool split =
+      setup.morsel_bytes > 0 &&
+      !(m.build_column &&
+        setup.node->scan.access_hint == AccessHint::kColumnar);
+  const char* base = m.text->data();
+  const size_t n = m.text->size();
+  const size_t first = tasks->size();
+  size_t begin = 0;
+  do {
+    size_t end = n;
+    if (split && begin + setup.morsel_bytes < n) {
+      size_t target = begin + setup.morsel_bytes - 1;
+      const void* nl = std::memchr(base + target, '\n', n - target);
+      if (nl != nullptr) {
+        end = static_cast<size_t>(static_cast<const char*>(nl) - base) + 1;
+      }
+    }
+    m.begin = begin;
+    m.end = end;
+    tasks->push_back(m);
+    begin = end;
+  } while (begin < n);
+  if (tasks->size() - first > 1) {
+    // Per-morsel fragments are not a whole column.
+    for (size_t t = first; t < tasks->size(); ++t) {
+      (*tasks)[t].split_file = true;
+      (*tasks)[t].build_column = false;
+    }
+  }
+  return Status::OK();
+}
+
+void Executor::RunMorsel(const ScanSetup& setup, const ScanMorsel& m,
+                         MemoryTracker* memory, TaskResult* slot) const {
+  auto start = Clock::now();
+  slot->ran = true;
+  slot->status = [&]() -> Status {
+    JPAR_RETURN_NOT_OK(Interrupted("pipeline scan"));
+    const ScanDesc& scan = setup.node->scan;
+    OpPipe pipe(setup.node->ops, catalog_, memory, setup.batch_mode,
+                options_.batch_size,
+                [this]() { return Interrupted("pipeline"); }, slot);
+    std::unique_ptr<ColumnBuilder> builder;
+    if (m.build_column) builder = std::make_unique<ColumnBuilder>();
+    // One huge NDJSON file may be a single morsel: poll the lifecycle
+    // every kCheckIntervalTuples emitted items, not only per morsel.
+    auto emit = [&](Item item) -> Status {
+      if (builder != nullptr) builder->Add(item);
+      if (m.build_stats) slot->path_stats.Observe(item);
+      if (++slot->items % kCheckIntervalTuples == 0) {
+        JPAR_RETURN_NOT_OK(Interrupted("pipeline"));
+      }
+      return pipe.PushItem(std::move(item));
+    };
+    if (m.column != nullptr) {
+      // Columnar read: emit the cached values; zone maps prune whole
+      // blocks against the scan's annotated SELECT predicate.
+      slot->bytes += m.column->bytes;
+      if (setup.lenient) slot->skipped += m.column->skipped_records;
+      JPAR_RETURN_NOT_OK(EmitColumn(*m.column, scan, emit,
+                                    &slot->blocks_pruned));
+    } else if (m.file->is_binary()) {
+      // Binary file: deserialize, then navigate the path steps in
+      // memory.
+      const std::string& bytes = *m.file->binary();
+      slot->bytes += bytes.size();
+      JPAR_ASSIGN_OR_RETURN(Item doc, DeserializeItem(bytes));
+      JPAR_RETURN_NOT_OK(NavigateItemPath(doc, scan.steps, 0, emit));
+    } else {
+      // Collection files are document streams: one document or many
+      // (NDJSON / concatenated JSON). With a cached tape, the whole-file
+      // index serves this morsel at absolute offsets (origin m.begin);
+      // without one, stage 1 is built over just this sub-view. In
+      // lenient mode malformed records are skipped and counted.
+      std::string_view view(*m.text);
+      view = view.substr(m.begin, m.end - m.begin);
+      slot->bytes += view.size();
+      ProjectionStats pstats;
+      JPAR_RETURN_NOT_OK(ProjectJsonStreamWithIndex(
+          view, scan.steps, m.tape.get(), m.begin, emit,
+          m.build_stats ? &pstats : nullptr,
+          setup.lenient ? &slot->skipped : nullptr, options_.scan_mode));
+      if (builder != nullptr) {
+        StorageManager::Instance().PutColumn(m.file->path(), setup.path,
+                                             builder->Finish(slot->skipped),
+                                             m.sig, setup.storage_cfg);
+      }
+      slot->path_stats.documents = pstats.documents;
+    }
+    slot->built_stats = m.build_stats;
+    return pipe.Finish();
+  }();
+  slot->ms = ElapsedMs(start);
 }
 
 Result<Executor::PartitionSet> Executor::Exchange(
@@ -1372,9 +1181,6 @@ Result<Executor::PartitionSet> Executor::Exchange(
   int pcount = options_.partitions;
   if (pcount < 1) pcount = 1;
   auto start = Clock::now();
-
-  EvalContext ctx;
-  ctx.catalog = catalog_;
 
   // Serialize into per-(source, destination) frame streams.
   std::vector<std::vector<FrameBuilder>> builders;
@@ -1388,18 +1194,14 @@ Result<Executor::PartitionSet> Executor::Exchange(
 
   // Sender side: each source partition encodes and routes its tuples
   // (parallel tasks in a real cluster; timed per source here).
-  std::hash<std::string> hasher;
-  std::string encoded;
   std::vector<double> src_ms(input.parts.size(), 0.0);
   for (size_t src = 0; src < input.parts.size(); ++src) {
     JPAR_RETURN_NOT_OK(Interrupted("exchange"));
     auto src_start = Clock::now();
-    for (const Tuple& tuple : input.parts[src]) {
-      JPAR_RETURN_NOT_OK(
-          EncodeKey(key_evals, tuple, &ctx, &encoded, nullptr));
-      size_t dst = hasher(encoded) % static_cast<size_t>(pcount);
-      builders[src][dst].Append(tuple);
-    }
+    std::vector<FrameBuilder>& streams = builders[src];
+    JPAR_RETURN_NOT_OK(RouteByKey(
+        input.parts[src], key_evals, streams.size(),
+        [&](size_t dst, const Tuple& t) { streams[dst].Append(t); }));
     src_ms[src] = ElapsedMs(src_start);
   }
 
@@ -1471,123 +1273,94 @@ Result<Executor::PartitionSet> Executor::ExecGroupBy(
                           SpillManager::Create(options_.spill_dir, ctx_));
   }
   uint64_t merge_passes = 0;
-  size_t nkeys = node.keys.size();
-
-  bool can_two_step = GroupByUsesTwoStep(node);
+  // Aggregates every partition of `in` into `out`, timing each into
+  // `stage`. `release` returns each partition's memory once it emits.
+  auto aggregate = [&](AggStep step, PartitionSet* in, StageStats* stage,
+                       bool release, PartitionSet* out) -> Status {
+    const size_t n = in->parts.size();
+    stage->partition_ms.assign(n, 0.0);
+    out->parts.assign(n, {});
+    for (size_t p = 0; p < n; ++p) {
+      auto start = Clock::now();
+      JPAR_RETURN_NOT_OK(AggregatePartition(
+          node, step, in->parts[p], memory.ShareOf(n), &memory,
+          spill_mgr.get(), &merge_passes, &out->parts[p]));
+      in->parts[p].clear();
+      if (release) memory.Release(memory.current_bytes());
+      stage->partition_ms[p] = ElapsedMs(start);
+    }
+    return Status::OK();
+  };
 
   // ---- Optional local pre-aggregation stage -------------------------
-  if (can_two_step) {
+  const bool two_step = GroupByUsesTwoStep(node);
+  if (two_step) {
     StageStats local_stage;
-    local_stage.name = "group-by (local)";
-    local_stage.partition_ms.assign(input.parts.size(), 0.0);
+    local_stage.name = GroupByStageName(AggStep::kLocal);
     PartitionSet partials;
-    partials.parts.assign(input.parts.size(), {});
-    for (size_t p = 0; p < input.parts.size(); ++p) {
-      auto start = Clock::now();
-      EvalContext ctx;
-      ctx.catalog = catalog_;
-      ctx.memory = &memory;
-      // Pre-spilling semantics kept exactly when disabled: the local
-      // stage never tracked aggregate growth (incremental partials are
-      // O(1)); with spilling on, growth counts against the budget too.
-      SpillableGroupTable table(node.aggs, AggStep::kLocal, &memory,
-                                /*track_growth=*/spilling, ctx_,
-                                spill_mgr.get(), EffectiveSpillFanout(node),
-                                memory.ShareOf(input.parts.size()),
-                                &merge_passes);
-      std::string encoded;
-      Tuple key_items;
-      uint64_t processed = 0;
-      for (const Tuple& tuple : input.parts[p]) {
-        if (++processed % kCheckIntervalTuples == 0) {
-          JPAR_RETURN_NOT_OK(Interrupted("group-by build"));
-        }
-        JPAR_RETURN_NOT_OK(
-            EncodeKey(node.keys, tuple, &ctx, &encoded, &key_items));
-        JPAR_RETURN_NOT_OK(
-            table.Add(encoded, key_items, [&](size_t i) -> Result<Item> {
-              return node.aggs[i].arg->Eval(tuple, &ctx);
-            }));
-      }
-      input.parts[p].clear();
-      JPAR_RETURN_NOT_OK(table.Emit(&partials.parts[p]));
-      memory.Release(memory.current_bytes());
-      local_stage.partition_ms[p] = ElapsedMs(start);
-    }
+    JPAR_RETURN_NOT_OK(aggregate(AggStep::kLocal, &input, &local_stage,
+                                 /*release=*/true, &partials));
     stats->Merge(local_stage);
     input = std::move(partials);
   }
 
-  // ---- Exchange by key ----------------------------------------------
+  // ---- Exchange by key, then global aggregation ----------------------
+  const AggStep step = two_step ? AggStep::kGlobal : AggStep::kComplete;
   StageStats global_stage;
-  global_stage.name =
-      can_two_step ? "group-by (global merge)" : "group-by (hash)";
-  // After local pre-aggregation the key occupies columns [0, nkeys).
-  std::vector<ScalarEvalPtr> exchange_keys;
-  if (can_two_step) {
-    for (size_t i = 0; i < nkeys; ++i) {
-      exchange_keys.push_back(MakeColumnEval(static_cast<int>(i)));
-    }
-  } else {
-    exchange_keys = node.keys;
-  }
+  global_stage.name = GroupByStageName(step);
   JPAR_ASSIGN_OR_RETURN(
       PartitionSet exchanged,
-      Exchange(input, exchange_keys, &global_stage, stats));
+      Exchange(input, GroupKeyEvals(node, step), &global_stage, stats));
   input.parts.clear();
-
-  // ---- Global aggregation --------------------------------------------
-  global_stage.partition_ms.assign(exchanged.parts.size(), 0.0);
+  // The hard-limit mode deliberately never releases between global
+  // partitions (it emulates all partitions resident at once, which is
+  // what Table 3 measures); the budgeted mode governs each partition
+  // task, so its memory returns as soon as the task emits.
   PartitionSet output;
-  output.parts.assign(exchanged.parts.size(), {});
-  for (size_t p = 0; p < exchanged.parts.size(); ++p) {
-    auto start = Clock::now();
-    EvalContext ctx;
-    ctx.catalog = catalog_;
-    ctx.memory = &memory;
-    AggStep step = can_two_step ? AggStep::kGlobal : AggStep::kComplete;
-    SpillableGroupTable table(node.aggs, step, &memory,
-                              /*track_growth=*/true, ctx_, spill_mgr.get(),
-                              EffectiveSpillFanout(node),
-                              memory.ShareOf(exchanged.parts.size()),
-                              &merge_passes);
-    std::string encoded;
-    Tuple key_items;
-    uint64_t processed = 0;
-    for (const Tuple& tuple : exchanged.parts[p]) {
-      if (++processed % kCheckIntervalTuples == 0) {
-        JPAR_RETURN_NOT_OK(Interrupted("group-by build"));
-      }
-      JPAR_RETURN_NOT_OK(
-          EncodeKey(exchange_keys, tuple, &ctx, &encoded, &key_items));
-      JPAR_RETURN_NOT_OK(
-          table.Add(encoded, key_items, [&](size_t i) -> Result<Item> {
-            if (can_two_step) {
-              // Partial for agg i sits right after the key columns.
-              return tuple[nkeys + i];
-            }
-            return node.aggs[i].arg->Eval(tuple, &ctx);
-          }));
-    }
-    exchanged.parts[p].clear();
-    JPAR_RETURN_NOT_OK(table.Emit(&output.parts[p]));
-    // The hard-limit mode deliberately never releases between global
-    // partitions (it emulates all partitions resident at once, which is
-    // what Table 3 measures); the budgeted mode governs each partition
-    // task, so its memory returns as soon as the task emits.
-    if (spilling) memory.Release(memory.current_bytes());
-    global_stage.partition_ms[p] = ElapsedMs(start);
-  }
-  if (memory.peak_bytes() > stats->peak_retained_bytes) {
-    stats->peak_retained_bytes = memory.peak_bytes();
-  }
-  if (spill_mgr != nullptr) {
-    stats->spill_runs += spill_mgr->runs_created();
-    stats->spill_bytes_written += spill_mgr->bytes_written();
-    stats->spill_merge_passes += merge_passes;
-  }
+  JPAR_RETURN_NOT_OK(
+      aggregate(step, &exchanged, &global_stage, spilling, &output));
+  NotePeak(memory, stats);
+  NoteSpill(spill_mgr.get(), merge_passes, stats);
   stats->Merge(global_stage);
   return output;
+}
+
+Status Executor::AggregatePartition(const PNode& node, AggStep step,
+                                    const std::vector<Tuple>& input,
+                                    uint64_t budget, MemoryTracker* memory,
+                                    SpillManager* spill,
+                                    uint64_t* merge_passes,
+                                    std::vector<Tuple>* out) const {
+  EvalContext ctx;
+  ctx.catalog = catalog_;
+  ctx.memory = memory;
+  const std::vector<ScalarEvalPtr> keys = GroupKeyEvals(node, step);
+  const size_t nkeys = node.keys.size();
+  // Pre-spilling semantics kept exactly when disabled: the local stage
+  // never tracked aggregate growth (incremental partials are O(1)); with
+  // spilling on, growth counts against the budget too.
+  const bool track_growth = step != AggStep::kLocal || spill != nullptr;
+  SpillableGroupTable table(node.aggs, step, memory, track_growth, ctx_,
+                            spill, EffectiveSpillFanout(node), budget,
+                            merge_passes);
+  std::string encoded;
+  Tuple key_items;
+  uint64_t processed = 0;
+  for (const Tuple& tuple : input) {
+    if (++processed % kCheckIntervalTuples == 0) {
+      JPAR_RETURN_NOT_OK(Interrupted("group-by build"));
+    }
+    JPAR_RETURN_NOT_OK(EncodeKey(keys, tuple, &ctx, &encoded, &key_items));
+    JPAR_RETURN_NOT_OK(
+        table.Add(encoded, key_items, [&](size_t i) -> Result<Item> {
+          if (step == AggStep::kGlobal) {
+            // Partial for agg i sits right after the key columns.
+            return tuple[nkeys + i];
+          }
+          return node.aggs[i].arg->Eval(tuple, &ctx);
+        }));
+  }
+  return table.Emit(out);
 }
 
 Status Executor::JoinOnePartition(const PNode& node,
@@ -1690,13 +1463,11 @@ Result<Executor::PartitionSet> Executor::ExecJoin(const PNode& node,
   // (DESIGN.md §10 lists spillable joins as future work).
   MemoryTracker memory(options_.memory_limit_bytes,
                        options_.spill == SpillMode::kEnabled);
-  size_t nkeys = node.left_keys.size();
   // Keys were evaluated against pre-exchange column positions; the
   // exchanged tuples preserve layout, so re-evaluate the same evals.
   stage.partition_ms.assign(left_ex.parts.size(), 0.0);
   PartitionSet output;
   output.parts.assign(left_ex.parts.size(), {});
-  (void)nkeys;
   for (size_t p = 0; p < left_ex.parts.size(); ++p) {
     auto start = Clock::now();
     EvalContext ctx;
@@ -1708,9 +1479,7 @@ Result<Executor::PartitionSet> Executor::ExecJoin(const PNode& node,
     memory.Release(memory.current_bytes());
     stage.partition_ms[p] = ElapsedMs(start);
   }
-  if (memory.peak_bytes() > stats->peak_retained_bytes) {
-    stats->peak_retained_bytes = memory.peak_bytes();
-  }
+  NotePeak(memory, stats);
   stats->Merge(stage);
   return output;
 }
@@ -1898,21 +1667,6 @@ Result<Executor::PartitionSet> Executor::ExecSort(const PNode& node,
 
   PartitionSet output;
   output.parts.assign(1, {});
-  auto less_keyed = [&](const Keyed& a, const Keyed& b) -> bool {
-    for (size_t i = 0; i < a.keys.size(); ++i) {
-      bool ea = a.keys[i].SequenceLength() == 0;
-      bool eb = b.keys[i].SequenceLength() == 0;
-      int c;
-      if (ea || eb) {
-        c = static_cast<int>(eb) - static_cast<int>(ea);
-      } else {
-        c = a.keys[i].Compare(b.keys[i]).ValueOrDie();
-      }
-      if (i < node.sort_descending.size() && node.sort_descending[i]) c = -c;
-      if (c != 0) return c < 0;
-    }
-    return false;
-  };
   uint64_t merged = 0;
   while (true) {
     if (++merged % kCheckIntervalTuples == 0) {
@@ -1922,8 +1676,8 @@ Result<Executor::PartitionSet> Executor::ExecSort(const PNode& node,
     for (size_t s = 0; s < sources.size(); ++s) {
       if (!sources[s].has_head) continue;
       if (best < 0 ||
-          less_keyed(sources[s].head,
-                     sources[static_cast<size_t>(best)].head)) {
+          compare(sources[s].head,
+                  sources[static_cast<size_t>(best)].head)) {
         best = static_cast<int>(s);
       }
     }
@@ -1933,22 +1687,18 @@ Result<Executor::PartitionSet> Executor::ExecSort(const PNode& node,
     JPAR_RETURN_NOT_OK(advance(&win));
   }
   stage.exchange_ms += ElapsedMs(merge_start);
-  if (memory.peak_bytes() > stats->peak_retained_bytes &&
-      options_.spill == SpillMode::kEnabled) {
-    stats->peak_retained_bytes = memory.peak_bytes();
-  }
   if (spill_mgr != nullptr) {
-    stats->spill_runs += spill_mgr->runs_created();
-    stats->spill_bytes_written += spill_mgr->bytes_written();
+    NotePeak(memory, stats);
+    NoteSpill(spill_mgr.get(), /*merge_passes=*/0, stats);
   }
   stats->Merge(stage);
   return output;
 }
 
 // ---------------------------------------------------------------------
-// Fragment execution API (src/dist, DESIGN.md §11). Each function is
-// the body of one in-process per-partition loop, factored so a worker
-// process can run a single partition's share of an operator.
+// Fragment execution API (src/dist, DESIGN.md §11). Each function runs
+// one partition's share of an operator through the same per-partition
+// function the in-process operator loops over.
 
 bool Executor::GroupByUsesTwoStep(const PNode& node) {
   bool can_two_step = node.two_step;
@@ -1974,8 +1724,8 @@ Result<std::vector<Tuple>> Executor::RunSubtree(const PNode& node,
   return out;
 }
 
-Result<std::vector<Tuple>> Executor::GroupByLocal(
-    const PNode& node, const std::vector<Tuple>& input,
+Result<std::vector<Tuple>> Executor::GroupByFragment(
+    const PNode& node, AggStep step, const std::vector<Tuple>& input,
     ExecStats* stats) const {
   const bool spilling = options_.spill == SpillMode::kEnabled;
   MemoryTracker memory(options_.memory_limit_bytes, spilling);
@@ -1986,107 +1736,31 @@ Result<std::vector<Tuple>> Executor::GroupByLocal(
   }
   uint64_t merge_passes = 0;
   StageStats stage;
-  stage.name = "group-by (local)";
+  stage.name = GroupByStageName(step);
   auto start = Clock::now();
-  EvalContext ctx;
-  ctx.catalog = catalog_;
-  ctx.memory = &memory;
-  SpillableGroupTable table(node.aggs, AggStep::kLocal, &memory,
-                            /*track_growth=*/spilling, ctx_, spill_mgr.get(),
-                            EffectiveSpillFanout(node), memory.ShareOf(1),
-                            &merge_passes);
-  std::string encoded;
-  Tuple key_items;
-  uint64_t processed = 0;
   std::vector<Tuple> out;
-  for (const Tuple& tuple : input) {
-    if (++processed % kCheckIntervalTuples == 0) {
-      JPAR_RETURN_NOT_OK(Interrupted("group-by build"));
-    }
-    JPAR_RETURN_NOT_OK(
-        EncodeKey(node.keys, tuple, &ctx, &encoded, &key_items));
-    JPAR_RETURN_NOT_OK(
-        table.Add(encoded, key_items, [&](size_t i) -> Result<Item> {
-          return node.aggs[i].arg->Eval(tuple, &ctx);
-        }));
-  }
-  JPAR_RETURN_NOT_OK(table.Emit(&out));
-  if (memory.peak_bytes() > stats->peak_retained_bytes) {
-    stats->peak_retained_bytes = memory.peak_bytes();
-  }
-  if (spill_mgr != nullptr) {
-    stats->spill_runs += spill_mgr->runs_created();
-    stats->spill_bytes_written += spill_mgr->bytes_written();
-    stats->spill_merge_passes += merge_passes;
-  }
+  JPAR_RETURN_NOT_OK(AggregatePartition(node, step, input, memory.ShareOf(1),
+                                        &memory, spill_mgr.get(),
+                                        &merge_passes, &out));
+  NotePeak(memory, stats);
+  NoteSpill(spill_mgr.get(), merge_passes, stats);
   stage.partition_ms.assign(1, ElapsedMs(start));
   stats->Merge(stage);
   return out;
 }
 
+Result<std::vector<Tuple>> Executor::GroupByLocal(
+    const PNode& node, const std::vector<Tuple>& input,
+    ExecStats* stats) const {
+  return GroupByFragment(node, AggStep::kLocal, input, stats);
+}
+
 Result<std::vector<Tuple>> Executor::GroupByGlobal(
     const PNode& node, const std::vector<Tuple>& input, bool from_partials,
     ExecStats* stats) const {
-  const bool spilling = options_.spill == SpillMode::kEnabled;
-  MemoryTracker memory(options_.memory_limit_bytes, spilling);
-  std::unique_ptr<SpillManager> spill_mgr;
-  if (spilling) {
-    JPAR_ASSIGN_OR_RETURN(spill_mgr,
-                          SpillManager::Create(options_.spill_dir, ctx_));
-  }
-  uint64_t merge_passes = 0;
-  size_t nkeys = node.keys.size();
-  std::vector<ScalarEvalPtr> exchange_keys;
-  if (from_partials) {
-    for (size_t i = 0; i < nkeys; ++i) {
-      exchange_keys.push_back(MakeColumnEval(static_cast<int>(i)));
-    }
-  } else {
-    exchange_keys = node.keys;
-  }
-
-  StageStats stage;
-  stage.name =
-      from_partials ? "group-by (global merge)" : "group-by (hash)";
-  auto start = Clock::now();
-  EvalContext ctx;
-  ctx.catalog = catalog_;
-  ctx.memory = &memory;
-  AggStep step = from_partials ? AggStep::kGlobal : AggStep::kComplete;
-  SpillableGroupTable table(node.aggs, step, &memory,
-                            /*track_growth=*/true, ctx_, spill_mgr.get(),
-                            EffectiveSpillFanout(node), memory.ShareOf(1),
-                            &merge_passes);
-  std::string encoded;
-  Tuple key_items;
-  uint64_t processed = 0;
-  std::vector<Tuple> out;
-  for (const Tuple& tuple : input) {
-    if (++processed % kCheckIntervalTuples == 0) {
-      JPAR_RETURN_NOT_OK(Interrupted("group-by build"));
-    }
-    JPAR_RETURN_NOT_OK(
-        EncodeKey(exchange_keys, tuple, &ctx, &encoded, &key_items));
-    JPAR_RETURN_NOT_OK(
-        table.Add(encoded, key_items, [&](size_t i) -> Result<Item> {
-          if (from_partials) {
-            return tuple[nkeys + i];
-          }
-          return node.aggs[i].arg->Eval(tuple, &ctx);
-        }));
-  }
-  JPAR_RETURN_NOT_OK(table.Emit(&out));
-  if (memory.peak_bytes() > stats->peak_retained_bytes) {
-    stats->peak_retained_bytes = memory.peak_bytes();
-  }
-  if (spill_mgr != nullptr) {
-    stats->spill_runs += spill_mgr->runs_created();
-    stats->spill_bytes_written += spill_mgr->bytes_written();
-    stats->spill_merge_passes += merge_passes;
-  }
-  stage.partition_ms.assign(1, ElapsedMs(start));
-  stats->Merge(stage);
-  return out;
+  return GroupByFragment(
+      node, from_partials ? AggStep::kGlobal : AggStep::kComplete, input,
+      stats);
 }
 
 Result<std::vector<Tuple>> Executor::JoinPartition(
@@ -2103,9 +1777,7 @@ Result<std::vector<Tuple>> Executor::JoinPartition(
   std::vector<Tuple> out;
   JPAR_RETURN_NOT_OK(JoinOnePartition(node, left, right, &ctx, &memory, &out));
   memory.Release(memory.current_bytes());
-  if (memory.peak_bytes() > stats->peak_retained_bytes) {
-    stats->peak_retained_bytes = memory.peak_bytes();
-  }
+  NotePeak(memory, stats);
   stage.partition_ms.assign(1, ElapsedMs(start));
   stats->Merge(stage);
   return out;
@@ -2117,69 +1789,45 @@ Result<std::vector<Tuple>> Executor::RunOps(
   if (ops.empty()) return input;
   MemoryTracker memory(options_.memory_limit_bytes,
                        options_.spill == SpillMode::kEnabled);
+  TaskResult task;
+  RunPipelinePartition(ops, std::move(input), UseBatchMode(), &memory, &task);
+  JPAR_RETURN_NOT_OK(task.status);
   StageStats stage;
   stage.name = "pipeline";
-  auto start = Clock::now();
-  EvalContext ctx;
-  ctx.catalog = catalog_;
-  ctx.memory = &memory;
-  const bool batch_mode = UseBatchMode();
-  ctx.charge_boundaries = !batch_mode;
-  std::vector<Tuple> out;
-  TupleSink sink = [&out](Tuple t) -> Status {
-    out.push_back(std::move(t));
-    return Status::OK();
-  };
-  uint64_t batches = 0;
-  std::unique_ptr<BatchPipe> pipe;
-  if (batch_mode) {
-    pipe = std::make_unique<BatchPipe>(
-        &ops, &ctx, options_.batch_size,
-        [this]() { return Interrupted("pipeline"); }, &out, &batches);
-  }
-  uint64_t processed = 0;
-  for (Tuple& t : input) {
-    if (++processed % kCheckIntervalTuples == 0) {
-      JPAR_RETURN_NOT_OK(Interrupted("pipeline"));
-    }
-    if (pipe != nullptr) {
-      JPAR_RETURN_NOT_OK(pipe->PushTuple(std::move(t)));
-    } else {
-      JPAR_RETURN_NOT_OK(RunChain(ops, 0, std::move(t), &ctx, sink));
-    }
-  }
-  if (pipe != nullptr) JPAR_RETURN_NOT_OK(pipe->Finish());
-  stats->batches_emitted += batches;
-  stage.pipeline_bytes += ctx.boundary_bytes;
-  if (ctx.max_tuple_bytes > stage.max_tuple_bytes) {
-    stage.max_tuple_bytes = ctx.max_tuple_bytes;
-  }
-  if (memory.peak_bytes() > stats->peak_retained_bytes) {
-    stats->peak_retained_bytes = memory.peak_bytes();
-  }
-  stage.partition_ms.assign(1, ElapsedMs(start));
+  stage.partition_ms.assign(1, task.ms);
+  FoldTask(task, &stage, stats);
+  NotePeak(memory, stats);
   stats->Merge(stage);
-  return out;
+  return std::move(task.out);
 }
 
-Result<std::vector<std::vector<Tuple>>> Executor::HashPartition(
+Status Executor::RouteByKey(
     const std::vector<Tuple>& input,
-    const std::vector<ScalarEvalPtr>& key_evals, int fanout) const {
-  if (fanout < 1) fanout = 1;
+    const std::vector<ScalarEvalPtr>& key_evals, size_t fanout,
+    const std::function<void(size_t, const Tuple&)>& route) const {
   EvalContext ctx;
   ctx.catalog = catalog_;
   std::hash<std::string> hasher;
   std::string encoded;
-  std::vector<std::vector<Tuple>> buckets(static_cast<size_t>(fanout));
   uint64_t processed = 0;
   for (const Tuple& tuple : input) {
     if (++processed % kCheckIntervalTuples == 0) {
       JPAR_RETURN_NOT_OK(Interrupted("exchange"));
     }
     JPAR_RETURN_NOT_OK(EncodeKey(key_evals, tuple, &ctx, &encoded, nullptr));
-    size_t dst = hasher(encoded) % static_cast<size_t>(fanout);
-    buckets[dst].push_back(tuple);
+    route(hasher(encoded) % fanout, tuple);
   }
+  return Status::OK();
+}
+
+Result<std::vector<std::vector<Tuple>>> Executor::HashPartition(
+    const std::vector<Tuple>& input,
+    const std::vector<ScalarEvalPtr>& key_evals, int fanout) const {
+  std::vector<std::vector<Tuple>> buckets(
+      static_cast<size_t>(std::max(fanout, 1)));
+  JPAR_RETURN_NOT_OK(RouteByKey(
+      input, key_evals, buckets.size(),
+      [&](size_t dst, const Tuple& t) { buckets[dst].push_back(t); }));
   return buckets;
 }
 

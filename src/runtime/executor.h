@@ -1,6 +1,7 @@
 #ifndef JPAR_RUNTIME_EXECUTOR_H_
 #define JPAR_RUNTIME_EXECUTOR_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,8 +19,16 @@
 
 namespace jpar {
 
+class SpillManager;
 struct PNode;
 using PNodePtr = std::shared_ptr<const PNode>;
+
+// Task-level state of the executor, defined in executor.cc.
+namespace exec_detail {
+struct TaskResult;
+struct ScanSetup;
+struct ScanMorsel;
+}  // namespace exec_detail
 
 /// Longest-processing-time list scheduling of `task_ms` onto `cores`
 /// identical cores; returns the busiest core's total. Exposed for the
@@ -172,7 +181,10 @@ struct ExecOptions {
   std::string spill_dir;
   /// Run partition tasks on real threads. Off by default: the
   /// reproduction host is single-core, and sequential execution gives
-  /// deterministic per-partition timings for the makespan model.
+  /// deterministic per-partition timings for the makespan model. A
+  /// DATASCAN runs the same plan/run steps either way; without threads
+  /// each file is one morsel, planned and run in file order on the
+  /// calling thread.
   bool use_threads = false;
   /// Simulated interconnect for cross-node exchange bytes.
   double network_gbps = 1.0;
@@ -192,7 +204,8 @@ struct ExecOptions {
   /// each collection file is split into newline-aligned morsels of
   /// about this many bytes and worker threads pull them from a shared
   /// queue, so one huge NDJSON file no longer serializes a scan stage.
-  /// 0 disables splitting (one morsel per file). While this sits at
+  /// 0 disables splitting (one morsel per file), as does running
+  /// without use_threads. While this sits at
   /// kDefaultMorselBytes, a plan's cost-model morsel hint may adjust
   /// the split size (DESIGN.md §15); an explicit setting always wins.
   static constexpr size_t kDefaultMorselBytes = 1 << 20;
@@ -273,10 +286,11 @@ class Executor {
 
   // ---- Fragment execution API (src/dist, DESIGN.md §11) -------------
   // Entry points for a distributed worker running one slice of a plan
-  // that was split at its exchange boundaries. Each mirrors the
-  // corresponding per-partition loop of the in-process operators —
-  // same EncodeKey, same hash, same insertion and emit order — so a
-  // distributed run reassembles byte-identical results.
+  // that was split at its exchange boundaries. Each calls the same
+  // per-partition function as the in-process operator (RunMorsel,
+  // RunPipelinePartition, AggregatePartition, JoinOnePartition,
+  // RouteByKey), so a distributed run reassembles byte-identical
+  // results by construction.
 
   /// True when this group-by runs as two-step aggregation (local
   /// pre-aggregation, exchange of partials, global merge).
@@ -331,16 +345,42 @@ class Executor {
 
   Result<PartitionSet> Exec(const PNode& node, ExecStats* stats) const;
   Result<PartitionSet> ExecPipeline(const PNode& node, ExecStats* stats) const;
-  /// Morsel-driven DATASCAN used when options_.use_threads: files are
-  /// split into newline-aligned morsels (~options_.morsel_bytes each)
-  /// that worker threads pull from a shared queue; per-morsel outputs
-  /// and stats land in private slots and are merged in task order after
-  /// the join, so results are byte-identical to the sequential scan.
-  Result<PartitionSet> ExecDataScanMorsels(
-      const PNode& node, const Collection& coll,
-      const std::vector<int>* file_filter, int pcount,
-      ExecStats* stats) const;
+  /// Every leaf DATASCAN: PlanFile picks each file's access path and
+  /// tees and cuts it into morsels; RunMorsel runs one morsel. Without
+  /// use_threads each file is one morsel, run on the calling thread
+  /// right after it is planned (one file's bytes held at a time); with
+  /// use_threads all files are planned first and worker threads pull
+  /// morsels (~morsel_bytes each) from a shared queue. Per-morsel
+  /// outputs and stats land in private slots merged in task order, and
+  /// each morsel's time is added to its partition's partition_ms entry,
+  /// so both modes give the same items, stats and stage shape.
+  Result<PartitionSet> ExecDataScan(const PNode& node, ExecStats* stats) const;
+  Status PlanFile(const exec_detail::ScanSetup& setup, const JsonFile& file,
+                  int partition, ExecStats* stats,
+                  std::vector<exec_detail::ScanMorsel>* tasks) const;
+  void RunMorsel(const exec_detail::ScanSetup& setup,
+                 const exec_detail::ScanMorsel& morsel, MemoryTracker* memory,
+                 exec_detail::TaskResult* slot) const;
+  /// One partition of a non-leaf pipeline, shared by ExecPipeline and
+  /// RunOps: pushes `input` through `ops` into `task`.
+  void RunPipelinePartition(const std::vector<UnaryOpDesc>& ops,
+                            std::vector<Tuple> input, bool batch_mode,
+                            MemoryTracker* memory,
+                            exec_detail::TaskResult* task) const;
   Result<PartitionSet> ExecGroupBy(const PNode& node, ExecStats* stats) const;
+  /// One group-by partition, shared by both stages of ExecGroupBy and
+  /// by GroupByLocal/GroupByGlobal. `step` picks the keys and inputs:
+  /// kLocal and kComplete aggregate raw tuples keyed by node.keys,
+  /// kGlobal merges two-step partials keyed by columns [0, nkeys).
+  Status AggregatePartition(const PNode& node, AggStep step,
+                            const std::vector<Tuple>& input, uint64_t budget,
+                            MemoryTracker* memory, SpillManager* spill,
+                            uint64_t* merge_passes,
+                            std::vector<Tuple>* out) const;
+  /// GroupByLocal/GroupByGlobal: one AggregatePartition as its own stage.
+  Result<std::vector<Tuple>> GroupByFragment(const PNode& node, AggStep step,
+                                             const std::vector<Tuple>& input,
+                                             ExecStats* stats) const;
   Result<PartitionSet> ExecJoin(const PNode& node, ExecStats* stats) const;
   /// One partition of the hash join, shared by ExecJoin and
   /// JoinPartition. Canonically builds right / probes left; with
@@ -359,6 +399,12 @@ class Executor {
   Result<PartitionSet> Exchange(const PartitionSet& input,
                                 const std::vector<ScalarEvalPtr>& key_evals,
                                 StageStats* stage, ExecStats* stats) const;
+  /// The routing rule of Exchange and HashPartition: hands each tuple
+  /// of `input` to `route` with bucket std::hash(encoded key) % fanout.
+  Status RouteByKey(
+      const std::vector<Tuple>& input,
+      const std::vector<ScalarEvalPtr>& key_evals, size_t fanout,
+      const std::function<void(size_t, const Tuple&)>& route) const;
 
   int NodeOfPartition(int p) const {
     return p / (options_.partitions_per_node > 0

@@ -70,9 +70,9 @@ struct ExecStats {
   /// Malformed records skipped by degraded scans
   /// (ExecOptions::on_parse_error == kSkipAndCount); 0 in strict mode.
   uint64_t skipped_records = 0;
-  /// Scan tasks executed by morsel-driven DATASCANs (threaded runs
-  /// split files into newline-aligned ~morsel_bytes chunks); 0 when
-  /// scans ran sequentially.
+  /// Scan tasks (morsels) every DATASCAN ran: one per file in a
+  /// sequential scan; threaded runs split files into newline-aligned
+  /// ~morsel_bytes chunks, so they may report more.
   uint64_t morsels_scanned = 0;
   /// Memory-governed spilling (ExecOptions::spill == kEnabled,
   /// DESIGN.md §10). Run files written by group-by/sort operators that

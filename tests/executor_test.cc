@@ -8,6 +8,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -422,7 +423,7 @@ TEST(ExecutorTest, MorselScanMatchesSequentialOnNdjson) {
     auto want = sequential.Run(plan);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
     ASSERT_EQ(want->items.size(), 120u);
-    EXPECT_EQ(want->stats.morsels_scanned, 0u);
+    EXPECT_EQ(want->stats.morsels_scanned, 3u);
 
     ExecOptions opt = seq;
     opt.use_threads = true;
@@ -516,6 +517,137 @@ TEST(ExecutorTest, MorselScanHandlesBinaryFiles) {
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ASSERT_EQ(out->items.size(), 3u);
   EXPECT_EQ(out->stats.morsels_scanned, 3u);
+
+  // A lenient sequential scan runs the same morsel path: one morsel per
+  // binary file, nothing skipped, the same items.
+  ExecOptions seq;
+  seq.partitions = 2;
+  seq.on_parse_error = ParseErrorPolicy::kSkipAndCount;
+  auto lenient = Executor(&catalog, seq).Run(plan);
+  ASSERT_TRUE(lenient.ok()) << lenient.status().ToString();
+  EXPECT_EQ(lenient->items, out->items);
+  EXPECT_EQ(lenient->stats.morsels_scanned, 3u);
+  EXPECT_EQ(lenient->stats.skipped_records, 0u);
+  EXPECT_EQ(lenient->stats.bytes_scanned, out->stats.bytes_scanned);
+}
+
+/// The DATASCAN stage of a scan-only run.
+const StageStats* ScanStage(const ExecStats& stats) {
+  for (const StageStats& s : stats.stages) {
+    if (s.name.rfind("DATASCAN", 0) == 0) return &s;
+  }
+  return nullptr;
+}
+
+TEST(ExecutorTest, SequentialScanTimesEveryScanPartition) {
+  for (int files : {3, 5}) {
+    Catalog catalog = MakeNdjsonCatalog(files, 10, false);
+    PhysicalPlan plan;
+    plan.root = ScanNd();
+    plan.result_column = 0;
+    for (int partitions : {1, 2, 4}) {
+      const size_t want_parts =
+          static_cast<size_t>(std::min(partitions, files));
+      for (bool threads : {false, true}) {
+        ExecOptions opt;
+        opt.partitions = partitions;
+        opt.use_threads = threads;
+        auto out = Executor(&catalog, opt).Run(plan);
+        ASSERT_TRUE(out.ok()) << out.status().ToString();
+        EXPECT_EQ(out->items.size(), static_cast<size_t>(files) * 10);
+        EXPECT_EQ(out->stats.morsels_scanned, static_cast<uint64_t>(files));
+        const StageStats* scan = ScanStage(out->stats);
+        ASSERT_NE(scan, nullptr);
+        EXPECT_EQ(scan->partition_ms.size(), want_parts)
+            << files << " files, " << partitions << " partitions, threads "
+            << threads;
+      }
+    }
+  }
+}
+
+TEST(ExecutorTest, SequentialAndThreadedScansFailOnTheFirstBadFile) {
+  // Files 1 and 2 are malformed at different offsets; with 2 partitions
+  // file 2 shares partition 0 with file 0. Both modes must report file
+  // 1's error: the first failing file in file order.
+  Catalog catalog;
+  Collection c;
+  c.files.push_back(JsonFile::FromText("{\"v\": 1}\n"));
+  c.files.push_back(JsonFile::FromText("{\"v\": tru}\n"));
+  c.files.push_back(
+      JsonFile::FromText("{\"v\": 2}\n{\"v\": 3}\n{\"v\": [1,}\n"));
+  catalog.RegisterCollection("nd", std::move(c));
+  PhysicalPlan plan;
+  plan.root = ScanNd();
+  plan.result_column = 0;
+  ExecOptions seq;
+  seq.partitions = 2;
+  auto want = Executor(&catalog, seq).Run(plan);
+  ASSERT_FALSE(want.ok());
+  EXPECT_EQ(want.status().code(), StatusCode::kParseError);
+  ExecOptions threaded = seq;
+  threaded.use_threads = true;
+  auto got = Executor(&catalog, threaded).Run(plan);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().ToString(), want.status().ToString());
+}
+
+TEST(ExecutorTest, SequentialPathBackedScanMatchesThreadedStorageStats) {
+  // Two directories with the same files: the storage tier and the stats
+  // store key on the path, so each mode starts cold on its own copy.
+  namespace fs = std::filesystem;
+  const fs::path root =
+      fs::path(::testing::TempDir()) /
+      ("jpar_seq_scan_" + std::to_string(::getpid()));
+  fs::remove_all(root);
+  auto make_catalog = [&](const std::string& name) {
+    fs::create_directories(root / name);
+    Catalog catalog;
+    Collection c;
+    for (int f = 0; f < 3; ++f) {
+      std::string text;
+      for (int r = 0; r < 20; ++r) {
+        text += "{\"v\":" + std::to_string(f * 100 + r) + "}\n";
+      }
+      fs::path path = root / name / ("part" + std::to_string(f) + ".json");
+      std::ofstream(path, std::ios::binary) << text;
+      c.files.push_back(JsonFile::FromPath(path.string()));
+    }
+    catalog.RegisterCollection("nd", std::move(c));
+    return catalog;
+  };
+  Catalog seq_catalog = make_catalog("seq");
+  Catalog threaded_catalog = make_catalog("threaded");
+  PhysicalPlan plan;
+  plan.root = ScanNd();
+  plan.result_column = 0;
+  ExecOptions seq;
+  seq.partitions = 2;
+  ExecOptions threaded = seq;
+  threaded.use_threads = true;
+  // Round 0 builds tapes, columns and stats samples; round 1 reads the
+  // columns back.
+  for (int round = 0; round < 2; ++round) {
+    auto want = Executor(&threaded_catalog, threaded).Run(plan);
+    auto got = Executor(&seq_catalog, seq).Run(plan);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(got->items.size(), 60u);
+    EXPECT_EQ(got->items, want->items) << round;
+    EXPECT_EQ(got->stats.tape_builds, want->stats.tape_builds) << round;
+    EXPECT_EQ(got->stats.tape_hits, want->stats.tape_hits) << round;
+    EXPECT_EQ(got->stats.columns_read, want->stats.columns_read) << round;
+    EXPECT_EQ(got->stats.stats_paths_built, want->stats.stats_paths_built)
+        << round;
+    if (!StorageCacheDisabledByEnv()) {
+      EXPECT_EQ(got->stats.tape_builds, round == 0 ? 3u : 0u);
+      EXPECT_EQ(got->stats.columns_read, round == 0 ? 0u : 3u);
+    }
+    if (StatsEnabled(StatsMode::kAuto)) {
+      EXPECT_EQ(got->stats.stats_paths_built, round == 0 ? 3u : 0u);
+    }
+  }
+  fs::remove_all(root);
 }
 
 TEST(ExecutorTest, ScanModesAgreeThroughExecutor) {
