@@ -80,10 +80,10 @@ Result<double> PayloadReader::Double() {
 
 Result<std::string_view> PayloadReader::Bytes() {
   JPAR_ASSIGN_OR_RETURN(uint64_t len, Varint());
-  if (len > data_.size() - pos_) {
+  if (len > remaining()) {
     return Status::IOError("truncated bytes in protocol payload: need " +
                            std::to_string(len) + ", have " +
-                           std::to_string(data_.size() - pos_));
+                           std::to_string(remaining()));
   }
   std::string_view v = data_.substr(pos_, len);
   pos_ += len;
@@ -104,6 +104,12 @@ Result<HelloMsg> DecodeHello(std::string_view payload) {
   PayloadReader r(payload);
   HelloMsg msg;
   JPAR_ASSIGN_OR_RETURN(uint64_t version, r.Varint());
+  // A peer from another build would misdecode every later payload.
+  if (version != kProtocolVersion) {
+    return Status::IOError("peer speaks protocol version " +
+                           std::to_string(version) + ", this build speaks " +
+                           std::to_string(kProtocolVersion));
+  }
   msg.version = static_cast<uint32_t>(version);
   JPAR_ASSIGN_OR_RETURN(msg.pid, r.VarintSigned());
   return msg;
@@ -211,6 +217,12 @@ void EncodeDoubleVec(const std::vector<double>& v, std::string* out) {
 
 Status DecodeDoubleVec(PayloadReader* r, std::vector<double>* out) {
   JPAR_ASSIGN_OR_RETURN(uint64_t n, r->Varint());
+  // Checked before reserving: a corrupt count must not size a buffer.
+  if (n > r->remaining() / 8) {
+    return Status::IOError("corrupt double vector: " + std::to_string(n) +
+                           " values in " + std::to_string(r->remaining()) +
+                           " bytes");
+  }
   out->clear();
   out->reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -220,6 +232,34 @@ Status DecodeDoubleVec(PayloadReader* r, std::vector<double>* out) {
   return Status::OK();
 }
 
+void PutCounter(uint64_t v, std::string* out) { PutVarint(v, out); }
+void PutCounter(double v, std::string* out) { PutDouble(v, out); }
+
+Status ReadCounter(PayloadReader* r, uint64_t* v) {
+  JPAR_ASSIGN_OR_RETURN(*v, r->Varint());
+  return Status::OK();
+}
+Status ReadCounter(PayloadReader* r, double* v) {
+  JPAR_ASSIGN_OR_RETURN(*v, r->Double());
+  return Status::OK();
+}
+
+/// Every counter of a StageStats or ExecCounters, in list order.
+template <typename Counters>
+void EncodeCounters(const Counters& c, std::string* out) {
+  c.ForEachCounter(
+      [out](const char*, auto v, CounterMerge) { PutCounter(v, out); });
+}
+
+template <typename Counters>
+Status DecodeCounters(PayloadReader* r, Counters* c) {
+  Status st;
+  c->ForEachCounter([&](const char*, auto& v, CounterMerge) {
+    if (st.ok()) st = ReadCounter(r, &v);
+  });
+  return st;
+}
+
 }  // namespace
 
 void EncodeExecStats(const ExecStats& stats, std::string* out) {
@@ -227,47 +267,13 @@ void EncodeExecStats(const ExecStats& stats, std::string* out) {
   for (const StageStats& s : stats.stages) {
     PutBytes(s.name, out);
     EncodeDoubleVec(s.partition_ms, out);
-    PutDouble(s.exchange_ms, out);
     PutVarint(s.exchange_task_ms.size(), out);
     for (const std::vector<double>& phase : s.exchange_task_ms) {
       EncodeDoubleVec(phase, out);
     }
-    PutDouble(s.network_ms, out);
-    PutVarint(s.exchange_bytes, out);
-    PutVarint(s.exchange_frames, out);
-    PutVarint(s.exchange_tuples, out);
-    PutVarint(s.max_tuple_bytes, out);
-    PutVarint(s.pipeline_bytes, out);
-    PutVarint(s.oversized_frames, out);
+    EncodeCounters(s, out);
   }
-  PutDouble(stats.real_ms, out);
-  PutDouble(stats.makespan_ms, out);
-  PutDouble(stats.network_ms, out);
-  PutVarint(stats.bytes_scanned, out);
-  PutVarint(stats.items_scanned, out);
-  PutVarint(stats.result_rows, out);
-  PutVarint(stats.peak_retained_bytes, out);
-  PutVarint(stats.skipped_records, out);
-  PutVarint(stats.morsels_scanned, out);
-  PutVarint(stats.spill_runs, out);
-  PutVarint(stats.spill_bytes_written, out);
-  PutVarint(stats.spill_merge_passes, out);
-  PutVarint(stats.dist_workers, out);
-  PutVarint(stats.dist_rounds, out);
-  PutVarint(stats.dist_frames, out);
-  PutVarint(stats.dist_bytes, out);
-  PutVarint(stats.fragment_retries, out);
-  PutVarint(stats.workers_respawned, out);
-  PutVarint(stats.frames_replayed, out);
-  PutVarint(stats.replay_spill_bytes, out);
-  PutDouble(stats.recovery_ms, out);
-  PutVarint(stats.batches_emitted, out);
-  PutVarint(stats.exprs_compiled, out);
-  PutVarint(stats.tape_hits, out);
-  PutVarint(stats.tape_builds, out);
-  PutVarint(stats.columns_read, out);
-  PutVarint(stats.blocks_pruned, out);
-  PutVarint(stats.stats_paths_built, out);
+  EncodeCounters(stats, out);
 }
 
 Status DecodeExecStats(PayloadReader* r, ExecStats* out) {
@@ -277,51 +283,16 @@ Status DecodeExecStats(PayloadReader* r, ExecStats* out) {
     StageStats s;
     JPAR_ASSIGN_OR_RETURN(s.name, r->String());
     JPAR_RETURN_NOT_OK(DecodeDoubleVec(r, &s.partition_ms));
-    JPAR_ASSIGN_OR_RETURN(s.exchange_ms, r->Double());
     JPAR_ASSIGN_OR_RETURN(uint64_t nphases, r->Varint());
     for (uint64_t p = 0; p < nphases; ++p) {
       std::vector<double> phase;
       JPAR_RETURN_NOT_OK(DecodeDoubleVec(r, &phase));
       s.exchange_task_ms.push_back(std::move(phase));
     }
-    JPAR_ASSIGN_OR_RETURN(s.network_ms, r->Double());
-    JPAR_ASSIGN_OR_RETURN(s.exchange_bytes, r->Varint());
-    JPAR_ASSIGN_OR_RETURN(s.exchange_frames, r->Varint());
-    JPAR_ASSIGN_OR_RETURN(s.exchange_tuples, r->Varint());
-    JPAR_ASSIGN_OR_RETURN(s.max_tuple_bytes, r->Varint());
-    JPAR_ASSIGN_OR_RETURN(s.pipeline_bytes, r->Varint());
-    JPAR_ASSIGN_OR_RETURN(s.oversized_frames, r->Varint());
+    JPAR_RETURN_NOT_OK(DecodeCounters(r, &s));
     out->stages.push_back(std::move(s));
   }
-  JPAR_ASSIGN_OR_RETURN(out->real_ms, r->Double());
-  JPAR_ASSIGN_OR_RETURN(out->makespan_ms, r->Double());
-  JPAR_ASSIGN_OR_RETURN(out->network_ms, r->Double());
-  JPAR_ASSIGN_OR_RETURN(out->bytes_scanned, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->items_scanned, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->result_rows, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->peak_retained_bytes, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->skipped_records, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->morsels_scanned, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->spill_runs, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->spill_bytes_written, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->spill_merge_passes, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->dist_workers, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->dist_rounds, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->dist_frames, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->dist_bytes, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->fragment_retries, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->workers_respawned, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->frames_replayed, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->replay_spill_bytes, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->recovery_ms, r->Double());
-  JPAR_ASSIGN_OR_RETURN(out->batches_emitted, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->exprs_compiled, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->tape_hits, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->tape_builds, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->columns_read, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->blocks_pruned, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->stats_paths_built, r->Varint());
-  return Status::OK();
+  return DecodeCounters(r, out);
 }
 
 // ---------------------------------------------------------------------
@@ -549,8 +520,9 @@ Status DecodeCatalogSyncInto(std::string_view payload, Catalog* catalog,
   for (uint64_t c = 0; c < ncolls; ++c) {
     JPAR_ASSIGN_OR_RETURN(std::string name, r.String());
     JPAR_ASSIGN_OR_RETURN(uint64_t nfiles, r.Varint());
+    // No reserve(nfiles): a corrupt count must not size a buffer; the
+    // loop fails at the first missing file instead.
     Collection coll;
-    coll.files.reserve(nfiles);
     for (uint64_t f = 0; f < nfiles; ++f) {
       JPAR_ASSIGN_OR_RETURN(JsonFile file, DecodeFile(&r));
       coll.files.push_back(std::move(file));

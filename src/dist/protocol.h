@@ -36,7 +36,10 @@ enum class MsgType : uint8_t {
   kShutdown = 14,    // dispatcher -> worker: exit cleanly
 };
 
-inline constexpr uint32_t kProtocolVersion = 1;
+/// Bumped whenever a payload layout changes (e.g. a counter is added to
+/// runtime/stats.h). DecodeHello rejects any other version, so the
+/// dispatcher drops a worker from another build.
+inline constexpr uint32_t kProtocolVersion = 2;
 
 /// Bounds-checked little decoder for protocol payloads. Every read
 /// fails with kIOError on truncation — corrupt input is rejected, never
@@ -55,6 +58,7 @@ class PayloadReader {
     return std::string(v);
   }
   bool AtEnd() const { return pos_ >= data_.size(); }
+  size_t remaining() const { return data_.size() - pos_; }
 
  private:
   std::string_view data_;
@@ -75,6 +79,7 @@ struct HelloMsg {
   int64_t pid = 0;
 };
 std::string EncodeHello(const HelloMsg& msg);
+/// Fails with kIOError unless the hello carries kProtocolVersion.
 Result<HelloMsg> DecodeHello(std::string_view payload);
 
 /// One plan fragment assignment. Plans hold compiled expression trees

@@ -125,18 +125,10 @@ Result<std::vector<std::vector<Tuple>>> WorkerServer::ExecuteStage(
     JPAR_ASSIGN_OR_RETURN(tuples,
                           executor.RunSubtree(*stage.core_node, stats));
   } else if (stage.core == FragmentStage::Core::kGroupByMerge) {
-    if (inputs.size() != 1) {
-      return Status::Internal("group-by merge fragment expects 1 input, "
-                              "got " + std::to_string(inputs.size()));
-    }
     JPAR_ASSIGN_OR_RETURN(
         tuples, executor.GroupByGlobal(*stage.core_node, inputs[0],
                                        stage.from_partials, stats));
   } else {
-    if (inputs.size() != 2) {
-      return Status::Internal("join fragment expects 2 inputs, got " +
-                              std::to_string(inputs.size()));
-    }
     JPAR_ASSIGN_OR_RETURN(
         tuples, executor.JoinPartition(*stage.core_node, inputs[0],
                                        inputs[1], stats));
@@ -175,28 +167,34 @@ Status WorkerServer::HandleFragment(Socket* sock, std::mutex* send_mu,
   }
 
   OutputEofMsg eof;
-  Status frag = Status::OK();
-
-  PlanEntry* plan = nullptr;
-  {
-    Result<PlanEntry*> p = GetPlan(req.query, req.rules, req.exec);
-    if (!p.ok()) {
-      frag = p.status();
+  // The request came off the wire: check it against the plan before
+  // sizing anything from it.
+  Status frag = ValidateExecOptions(req.exec);
+  const FragmentStage* stage = nullptr;
+  if (frag.ok()) {
+    Result<PlanEntry*> plan = GetPlan(req.query, req.rules, req.exec);
+    if (!plan.ok()) {
+      frag = plan.status();
+    } else if (static_cast<size_t>(req.stage_id) >=
+               (*plan)->split.stages.size()) {
+      frag = Status::InvalidArgument(
+          "fragment stage " + std::to_string(req.stage_id) +
+          " out of range (plan has " +
+          std::to_string((*plan)->split.stages.size()) + " stages)");
     } else {
-      plan = *p;
-      if (req.stage_id < 0 ||
-          static_cast<size_t>(req.stage_id) >= plan->split.stages.size()) {
+      stage = &(*plan)->split.stages[static_cast<size_t>(req.stage_id)];
+      if (static_cast<size_t>(req.num_inputs) != stage->inputs.size()) {
         frag = Status::InvalidArgument(
-            "fragment stage " + std::to_string(req.stage_id) +
-            " out of range (plan has " +
-            std::to_string(plan->split.stages.size()) + " stages)");
+            "fragment stage " + std::to_string(req.stage_id) + " takes " +
+            std::to_string(stage->inputs.size()) +
+            " inputs, request declares " + std::to_string(req.num_inputs));
       }
     }
   }
 
   // -- Phase 1: collect exchanged inputs (control handled inline) ------
   std::vector<std::vector<Tuple>> inputs(
-      static_cast<size_t>(req.num_inputs > 0 ? req.num_inputs : 0));
+      frag.ok() ? static_cast<size_t>(req.num_inputs) : 0);
   CreditWindow out_window;
   out_window.Reset(req.credit_window);
   int eofs_seen = 0;
@@ -329,10 +327,8 @@ Status WorkerServer::HandleFragment(Socket* sock, std::mutex* send_mu,
 
     std::vector<std::vector<Tuple>> buckets;
     {
-      const FragmentStage& stage =
-          plan->split.stages[static_cast<size_t>(req.stage_id)];
       Result<std::vector<std::vector<Tuple>>> r =
-          ExecuteStage(req, stage, std::move(inputs), &ctx, &eof.stats);
+          ExecuteStage(req, *stage, std::move(inputs), &ctx, &eof.stats);
       if (r.ok()) {
         buckets = *std::move(r);
       } else {

@@ -262,14 +262,10 @@ QueryTicket QueryService::SubmitInternal(Session* session, std::string query,
           result = engine_.Execute(*plan, opts.exec, &ctx);
         }
         if (result.ok()) {
-          fragment_retries_ += result->stats.fragment_retries;
-          workers_respawned_ += result->stats.workers_respawned;
-          frames_replayed_ += result->stats.frames_replayed;
-          replay_spill_bytes_ += result->stats.replay_spill_bytes;
-          tape_hits_ += result->stats.tape_hits;
-          tape_builds_ += result->stats.tape_builds;
-          columns_read_ += result->stats.columns_read;
-          blocks_pruned_ += result->stats.blocks_pruned;
+          {
+            std::lock_guard<std::mutex> lock(totals_mu_);
+            totals_.MergeFrom(result->stats);
+          }
           output = *std::move(result);
         } else {
           st = result.status();
@@ -310,20 +306,16 @@ ServiceMetrics QueryService::Metrics() const {
   m.distributed = distributed_.load();
   m.dist_fallbacks = dist_fallbacks_.load();
   m.dist_worker_lost_fallbacks = dist_worker_lost_fallbacks_.load();
-  m.fragment_retries = fragment_retries_.load();
-  m.workers_respawned = workers_respawned_.load();
-  m.frames_replayed = frames_replayed_.load();
-  m.replay_spill_bytes = replay_spill_bytes_.load();
-  m.tape_hits = tape_hits_.load();
-  m.tape_builds = tape_builds_.load();
-  m.columns_read = columns_read_.load();
-  m.blocks_pruned = blocks_pruned_.load();
+  {
+    std::lock_guard<std::mutex> lock(totals_mu_);
+    m.totals = totals_;
+  }
   return m;
 }
 
 std::string ServiceMetrics::ToString() const {
   std::string out;
-  auto line = [&out](const char* name, uint64_t v) {
+  auto line = [&out](const char* name, auto v) {
     out += "  ";
     out += name;
     out += ": ";
@@ -341,15 +333,11 @@ std::string ServiceMetrics::ToString() const {
   line("distributed", distributed);
   line("distributed fallbacks", dist_fallbacks);
   line("worker-lost fallbacks", dist_worker_lost_fallbacks);
-  line("fragment retries", fragment_retries);
-  line("workers respawned", workers_respawned);
-  line("frames replayed", frames_replayed);
-  line("replay spill bytes", replay_spill_bytes);
-  out += "storage tier:\n";
-  line("tape hits", tape_hits);
-  line("tape builds", tape_builds);
-  line("columns read", columns_read);
-  line("blocks pruned", blocks_pruned);
+  out += "execution totals:\n";
+  totals.ForEachCounter(
+      [&line](const char* name, auto v, CounterMerge merge) {
+        if (merge != CounterMerge::kCaller) line(name, v);
+      });
   out += "plan cache:\n";
   line("hits", plan_cache.hits);
   line("misses", plan_cache.misses);

@@ -183,21 +183,11 @@ struct ServiceMetrics {
   // Distributed execution (zero unless ServiceOptions::dist enabled).
   uint64_t distributed = 0;      // ran on the worker cluster
   uint64_t dist_fallbacks = 0;   // ran in-process instead (any reason)
-  // Failure recovery (DESIGN.md §12). Counters below aggregate the
-  // ExecStats of successfully completed queries (a query that fails
-  // outright reports no stats), except dist_worker_lost_fallbacks
-  // which counts the mid-query in-process reruns themselves.
   uint64_t dist_worker_lost_fallbacks = 0;  // kWorkerLost → in-process rerun
-  uint64_t fragment_retries = 0;    // fragments re-dispatched after loss
-  uint64_t workers_respawned = 0;   // workers respawned mid-query
-  uint64_t frames_replayed = 0;     // input frames replayed to retries
-  uint64_t replay_spill_bytes = 0;  // replay buffer bytes spilled to disk
-  // Warm storage tier (DESIGN.md §14), aggregated like the recovery
-  // counters from the ExecStats of successfully completed queries.
-  uint64_t tape_hits = 0;      // scans served a cached structural tape
-  uint64_t tape_builds = 0;    // structural tapes built and cached
-  uint64_t columns_read = 0;   // files answered from the columnar cache
-  uint64_t blocks_pruned = 0;  // column blocks skipped via zone maps
+  /// The ExecStats counters of every successfully completed query
+  /// (a query that fails outright reports no stats), folded by each
+  /// counter's merge rule; CounterMerge::kCaller counters stay 0.
+  ExecCounters totals;
 
   /// Multi-line human-readable dump (used by bench_service_throughput).
   std::string ToString() const;
@@ -268,14 +258,8 @@ class QueryService {
   std::atomic<uint64_t> distributed_{0};
   std::atomic<uint64_t> dist_fallbacks_{0};
   std::atomic<uint64_t> dist_worker_lost_fallbacks_{0};
-  std::atomic<uint64_t> fragment_retries_{0};
-  std::atomic<uint64_t> workers_respawned_{0};
-  std::atomic<uint64_t> frames_replayed_{0};
-  std::atomic<uint64_t> replay_spill_bytes_{0};
-  std::atomic<uint64_t> tape_hits_{0};
-  std::atomic<uint64_t> tape_builds_{0};
-  std::atomic<uint64_t> columns_read_{0};
-  std::atomic<uint64_t> blocks_pruned_{0};
+  mutable std::mutex totals_mu_;
+  ExecCounters totals_;  // guarded by totals_mu_
 
   /// Non-null iff options_.dist.enabled(). Declared before pool_ so
   /// worker threads (which call into it) stop before it is destroyed;

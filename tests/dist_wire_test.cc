@@ -4,16 +4,21 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/engine.h"
 #include "data/sensor_generator.h"
+#include "dist/dispatcher.h"
 #include "dist/exchange.h"
 #include "dist/fragment.h"
 #include "dist/protocol.h"
 #include "dist/wire.h"
+#include "dist/worker.h"
 
 namespace jpar {
 namespace {
@@ -132,32 +137,73 @@ TEST(ProtocolTest, FragmentRequestRoundTrip) {
   EXPECT_EQ(a, b);
 }
 
+// "name=value" for every counter of a stats.h list, in list order.
+template <typename Counters>
+std::vector<std::string> CounterValues(const Counters& c) {
+  std::vector<std::string> out;
+  c.ForEachCounter([&out](const char* name, auto v, CounterMerge) {
+    out.push_back(std::string(name) + "=" + std::to_string(v));
+  });
+  return out;
+}
+
 TEST(ProtocolTest, OutputEofRoundTrip) {
   OutputEofMsg msg;
   msg.code = StatusCode::kDeadlineExceeded;
   msg.message = "deadline exceeded during SCAN";
-  msg.stats.bytes_scanned = 1111;
-  msg.stats.items_scanned = 22;
-  msg.stats.result_rows = 3;
-  msg.stats.batches_emitted = 44;
-  msg.stats.exprs_compiled = 5;
-  msg.stats.tape_hits = 6;
-  msg.stats.tape_builds = 7;
-  msg.stats.columns_read = 8;
-  msg.stats.blocks_pruned = 99;
+  msg.stats.stages.resize(2);
+  msg.stats.stages[1].name = "join";
+  msg.stats.stages[1].partition_ms = {1.5, 2.5};
+  msg.stats.stages[1].exchange_task_ms = {{0.25}, {0.5, 0.75}};
+  // Every counter gets its own value, so a counter the codec drops,
+  // truncates or swaps with a neighbour shows up below.
+  uint64_t next = 1;
+  auto fill = [&next](const char*, auto& v, CounterMerge) {
+    using T = std::remove_reference_t<decltype(v)>;
+    v = static_cast<T>(next++ * 1000003);
+    if constexpr (std::is_floating_point_v<T>) v += 0.25;
+  };
+  msg.stats.ForEachCounter(fill);
+  for (StageStats& s : msg.stats.stages) s.ForEachCounter(fill);
+
   auto got = DecodeOutputEof(EncodeOutputEof(msg));
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got->code, StatusCode::kDeadlineExceeded);
   EXPECT_EQ(got->message, msg.message);
-  EXPECT_EQ(got->stats.bytes_scanned, 1111u);
-  EXPECT_EQ(got->stats.items_scanned, 22u);
-  EXPECT_EQ(got->stats.result_rows, 3u);
-  EXPECT_EQ(got->stats.batches_emitted, 44u);
-  EXPECT_EQ(got->stats.exprs_compiled, 5u);
-  EXPECT_EQ(got->stats.tape_hits, 6u);
-  EXPECT_EQ(got->stats.tape_builds, 7u);
-  EXPECT_EQ(got->stats.columns_read, 8u);
-  EXPECT_EQ(got->stats.blocks_pruned, 99u);
+  EXPECT_EQ(CounterValues(got->stats), CounterValues(msg.stats));
+  ASSERT_EQ(got->stats.stages.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    const StageStats& want = msg.stats.stages[i];
+    const StageStats& have = got->stats.stages[i];
+    EXPECT_EQ(have.name, want.name);
+    EXPECT_EQ(have.partition_ms, want.partition_ms);
+    EXPECT_EQ(have.exchange_task_ms, want.exchange_task_ms);
+    EXPECT_EQ(CounterValues(have), CounterValues(want)) << i;
+  }
+}
+
+TEST(ProtocolTest, HugeCountsRejectedBeforeAllocating) {
+  // An OutputEof whose one stage claims 2^40 partition times.
+  std::string eof;
+  PutVarint(0, &eof);           // kOk
+  PutBytes("", &eof);           // message
+  PutVarint(1, &eof);           // stages
+  PutBytes("scan", &eof);       // stage name
+  PutVarint(1ull << 40, &eof);  // partition_ms count, no values follow
+  auto got = DecodeOutputEof(eof);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kIOError);
+
+  // A catalog sync whose one collection claims 2^40 files.
+  std::string sync;
+  PutVarint(1, &sync);           // version
+  PutVarint(1, &sync);           // collections
+  PutBytes("/c", &sync);         // name
+  PutVarint(1ull << 40, &sync);  // file count, no files follow
+  Catalog catalog;
+  uint64_t version = 0;
+  Status st = DecodeCatalogSyncInto(sync, &catalog, &version);
+  EXPECT_EQ(st.code(), StatusCode::kIOError);
 }
 
 TEST(ProtocolTest, CancelAndCreditRoundTrip) {
@@ -502,6 +548,143 @@ TEST_F(SplitTest, UnsupportedShapesFallBack) {
     return $r)");
   ASSERT_FALSE(sorted.ok());
   EXPECT_EQ(sorted.status().code(), StatusCode::kUnsupported);
+}
+
+// ---------------------------------------------------------------------
+// Handshake and fragment-request checks
+
+TEST(HandshakeTest, WorkerOfAnotherProtocolVersionIsDropped) {
+  const std::string path = ::testing::TempDir() + "jpar-hello-" +
+                           std::to_string(::getpid()) + ".sock";
+  const std::string endpoint = "unix:" + path;
+  auto listener = Socket::ListenOn(endpoint);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  // A stand-in for a jpar_worker from another build: it says hello with
+  // a different version, then waits for the dispatcher to hang up.
+  std::thread worker([&listener] {
+    auto conn = listener->Accept();
+    if (!conn.ok()) return;
+    HelloMsg hello;
+    hello.version = kProtocolVersion + 1;
+    if (!WriteMessage(&*conn, static_cast<uint8_t>(MsgType::kHello),
+                      EncodeHello(hello))
+             .ok()) {
+      return;
+    }
+    WireMessage msg;
+    while (true) {
+      Result<bool> more = ReadMessage(&*conn, &msg);
+      if (!more.ok() || !*more) return;
+    }
+  });
+
+  DistOptions dist;
+  dist.endpoints = {endpoint};
+  Cluster cluster(dist);
+  Status st = cluster.Start();
+  cluster.Stop();
+  worker.join();
+  ::unlink(path.c_str());
+  EXPECT_EQ(st.code(), StatusCode::kWorkerLost) << st.ToString();
+  EXPECT_NE(st.message().find("protocol version"), std::string::npos)
+      << st.ToString();
+}
+
+// Plays the dispatcher against an in-process WorkerServer over a
+// socketpair.
+class WorkerRequestTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto pair = Socket::Pair();
+    ASSERT_TRUE(pair.ok()) << pair.status().ToString();
+    sock_ = std::move(pair->first);
+    server_ = std::thread([peer = std::move(pair->second)]() mutable {
+      WorkerServer server;
+      (void)server.Serve(std::move(peer));
+    });
+    WireMessage hello = Read();
+    ASSERT_EQ(hello.type, static_cast<uint8_t>(MsgType::kHello));
+    Send(MsgType::kHelloAck, "");
+    Catalog catalog;
+    Collection coll;
+    coll.files.push_back(JsonFile::FromText("{\"a\": 1}\n{\"a\": 2}\n"));
+    catalog.RegisterCollection("/c", std::move(coll));
+    Send(MsgType::kSyncCatalog, EncodeCatalogSync(catalog));
+    ASSERT_EQ(Read().type, static_cast<uint8_t>(MsgType::kSyncAck));
+  }
+
+  void TearDown() override {
+    Send(MsgType::kShutdown, "");
+    server_.join();
+  }
+
+  void Send(MsgType type, std::string_view payload) {
+    Status st = WriteMessage(&sock_, static_cast<uint8_t>(type), payload);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  }
+
+  WireMessage Read() {
+    WireMessage msg;
+    Result<bool> more = ReadMessage(&sock_, &msg);
+    EXPECT_TRUE(more.ok() && *more);
+    return msg;
+  }
+
+  /// A valid request for the one-stage pipeline over "/c".
+  static FragmentRequest Request() {
+    FragmentRequest req;
+    req.query = R"(for $r in collection("/c") return $r("a"))";
+    req.rules = RuleOptions::All();
+    return req;
+  }
+
+  /// Sends `req` plus one kInputEof per declared input, as the
+  /// dispatcher does, and returns the status code the worker reports.
+  StatusCode Run(const FragmentRequest& req) {
+    Send(MsgType::kRunFragment, EncodeFragmentRequest(req));
+    for (int i = 0; i < req.num_inputs; ++i) Send(MsgType::kInputEof, "");
+    WireMessage msg;
+    while (true) {
+      Result<bool> more = ReadMessage(&sock_, &msg);
+      if (!more.ok() || !*more) {
+        ADD_FAILURE() << "worker hung up before kOutputEof";
+        return StatusCode::kInternal;
+      }
+      if (msg.type == static_cast<uint8_t>(MsgType::kOutputEof)) {
+        auto eof = DecodeOutputEof(msg.payload);
+        EXPECT_TRUE(eof.ok()) << eof.status().ToString();
+        return eof.ok() ? eof->code : StatusCode::kInternal;
+      }
+      if (msg.type == static_cast<uint8_t>(MsgType::kOutputFrame)) {
+        Send(MsgType::kCredit, EncodeCredit(1));
+      }
+    }
+  }
+
+  Socket sock_;
+  std::thread server_;
+};
+
+TEST_F(WorkerRequestTest, InvalidExecOptionsRejected) {
+  FragmentRequest zero_partitions = Request();
+  zero_partitions.exec.partitions = 0;
+  EXPECT_EQ(Run(zero_partitions), StatusCode::kInvalidArgument);
+
+  FragmentRequest bad_mode = Request();
+  bad_mode.exec.scan_mode = static_cast<ScanMode>(99);
+  EXPECT_EQ(Run(bad_mode), StatusCode::kInvalidArgument);
+
+  // The connection stays usable after a rejection.
+  EXPECT_EQ(Run(Request()), StatusCode::kOk);
+}
+
+TEST_F(WorkerRequestTest, InputCountOtherThanTheStagesRejected) {
+  // The stage is a scan leaf: it takes no inputs.
+  FragmentRequest req = Request();
+  req.num_inputs = 3;
+  EXPECT_EQ(Run(req), StatusCode::kInvalidArgument);
+
+  EXPECT_EQ(Run(Request()), StatusCode::kOk);
 }
 
 }  // namespace

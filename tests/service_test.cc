@@ -12,12 +12,14 @@
 #include <sys/stat.h>
 #include <utime.h>
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -260,6 +262,50 @@ TEST(QueryServiceTest, RepeatedQueryIsAPlanCacheHit) {
   ServiceMetrics m = service.Metrics();
   EXPECT_EQ(m.plan_cache.hits, 1u);
   EXPECT_EQ(m.plan_cache.misses, 1u);
+}
+
+TEST(QueryServiceTest, TotalsAreTheFoldOfCompletedQueries) {
+  QueryService service;
+  RegisterDocs(service.catalog(), MakeDocs());
+  EngineOptions threaded;
+  threaded.exec.partitions = 3;
+  threaded.exec.use_threads = true;
+  auto a = service.CreateSession();
+  auto b = service.CreateSession(threaded);
+  std::vector<QueryTicket> tickets;
+  for (int i = 0; i < 6; ++i) {
+    tickets.push_back(a->Submit(kGroupQuery));
+    tickets.push_back(b->Submit(kSortedTailQuery));
+  }
+  tickets.push_back(a->Submit("for $d in"));  // fails: reports no stats
+  service.Drain();
+
+  // Fold each successful query's counters by the rule the list gives.
+  std::map<std::string, double> want;
+  int succeeded = 0;
+  for (const QueryTicket& t : tickets) {
+    if (!t.status().ok()) continue;
+    ++succeeded;
+    t.output().stats.ForEachCounter(
+        [&want](const char* name, auto v, CounterMerge merge) {
+          double& w = want[name];
+          const double d = static_cast<double>(v);
+          if (merge == CounterMerge::kSum) w += d;
+          if (merge == CounterMerge::kMax && d > w) w = d;
+        });
+  }
+  EXPECT_EQ(succeeded, 12);
+
+  ServiceMetrics m = service.Metrics();
+  size_t checked = 0;
+  m.totals.ForEachCounter([&](const char* name, auto v, CounterMerge) {
+    const double w = want[name];
+    EXPECT_NEAR(static_cast<double>(v), w, 1e-9 * std::max(1.0, w)) << name;
+    ++checked;
+  });
+  EXPECT_EQ(checked, want.size());
+  EXPECT_GT(m.totals.bytes_scanned, 0u);
+  EXPECT_EQ(m.totals.real_ms, 0);  // caller-set: never folded
 }
 
 // Stats-epoch invalidation: a plan compiled against one stats
