@@ -118,12 +118,13 @@ const Collection& SensorData(uint64_t base_bytes, int measurements_per_array,
 
 Engine MakeSensorEngine(const Collection& data, RuleOptions rules,
                         int partitions, int partitions_per_node,
-                        ExprMode expr_mode) {
+                        ExprMode expr_mode, bool use_threads) {
   EngineOptions options;
   options.rules = rules;
   options.exec.partitions = partitions;
   options.exec.partitions_per_node = partitions_per_node;
   options.exec.expr_mode = expr_mode;
+  options.exec.use_threads = use_threads;
   // The paper's cluster interconnect is fast relative to its
   // disk-bound scans; model 10 Gbps so scaled-down datasets keep a
   // comparable compute:network ratio.

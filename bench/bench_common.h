@@ -50,7 +50,8 @@ const Collection& SensorData(uint64_t base_bytes,
 /// the sensor collection registered as "/sensors".
 Engine MakeSensorEngine(const Collection& data, RuleOptions rules,
                         int partitions = 1, int partitions_per_node = 4,
-                        ExprMode expr_mode = ExprMode::kAuto);
+                        ExprMode expr_mode = ExprMode::kAuto,
+                        bool use_threads = false);
 
 /// Result of a repeated measurement.
 struct Measurement {

@@ -754,25 +754,17 @@ Result<Executor::PartitionSet> Executor::ExecPipeline(
   MemoryTracker memory(options_.memory_limit_bytes,
                        options_.spill == SpillMode::kEnabled);
   std::vector<TaskResult> tasks(pcount);
-  auto run_task = [&](size_t p) {
+  JPAR_RETURN_NOT_OK(RunPartitionTasks(pcount, [&](size_t p) {
     RunPipelinePartition(node.ops, std::move(input.parts[p]), batch_mode,
                          &memory, &tasks[p]);
-  };
-  if (options_.use_threads && pcount > 1) {
-    std::vector<std::thread> threads;
-    threads.reserve(pcount);
-    for (size_t p = 0; p < pcount; ++p) threads.emplace_back(run_task, p);
-    for (std::thread& t : threads) t.join();
-  } else {
-    for (size_t p = 0; p < pcount; ++p) run_task(p);
-  }
+    return tasks[p].status;
+  }));
 
   StageStats stage;
   stage.name = leaf ? node.scan.ToString() : "pipeline";
   PartitionSet output;
   output.parts.resize(pcount);
   for (size_t p = 0; p < pcount; ++p) {
-    JPAR_RETURN_NOT_OK(tasks[p].status);
     output.parts[p] = std::move(tasks[p].out);
     stage.partition_ms.push_back(tasks[p].ms);
     FoldTask(tasks[p], &stage, stats);
@@ -1175,76 +1167,104 @@ void Executor::RunMorsel(const ScanSetup& setup, const ScanMorsel& m,
   slot->ms = ElapsedMs(start);
 }
 
+Status Executor::RunPartitionTasks(
+    size_t n, const std::function<Status(size_t)>& task) const {
+  if (!options_.use_threads || n < 2) {
+    for (size_t p = 0; p < n; ++p) JPAR_RETURN_NOT_OK(task(p));
+    return Status::OK();
+  }
+  std::vector<Status> status(n);
+  std::vector<std::thread> threads;
+  threads.reserve(n);
+  for (size_t p = 0; p < n; ++p) {
+    threads.emplace_back([&task, &status, p] { status[p] = task(p); });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const Status& st : status) JPAR_RETURN_NOT_OK(st);
+  return Status::OK();
+}
+
 Result<Executor::PartitionSet> Executor::Exchange(
-    const PartitionSet& input, const std::vector<ScalarEvalPtr>& key_evals,
+    PartitionSet input, const std::vector<ScalarEvalPtr>& key_evals,
     StageStats* stage, ExecStats* stats) const {
-  int pcount = options_.partitions;
-  if (pcount < 1) pcount = 1;
+  const size_t pcount = static_cast<size_t>(std::max(options_.partitions, 1));
+  const size_t nsrc = input.parts.size();
   auto start = Clock::now();
 
-  // Serialize into per-(source, destination) frame streams.
-  std::vector<std::vector<FrameBuilder>> builders;
-  builders.reserve(input.parts.size());
-  for (size_t src = 0; src < input.parts.size(); ++src) {
-    builders.emplace_back();
-    for (int dst = 0; dst < pcount; ++dst) {
-      builders[src].emplace_back(options_.frame_bytes);
-    }
-  }
-
-  // Sender side: each source partition encodes and routes its tuples
-  // (parallel tasks in a real cluster; timed per source here).
-  std::vector<double> src_ms(input.parts.size(), 0.0);
-  for (size_t src = 0; src < input.parts.size(); ++src) {
+  // Sender side: each source partition routes its tuples by key and
+  // moves each one into its (source, destination) stream. The tally
+  // counts the frames that stream would ship from each tuple's encoded
+  // size; no frame is materialized.
+  std::vector<std::vector<std::vector<Tuple>>> streams(nsrc);
+  std::vector<std::vector<FrameTally>> tallies(nsrc);
+  std::vector<double> src_ms(nsrc, 0.0);
+  JPAR_RETURN_NOT_OK(RunPartitionTasks(nsrc, [&](size_t src) -> Status {
     JPAR_RETURN_NOT_OK(Interrupted("exchange"));
     auto src_start = Clock::now();
-    std::vector<FrameBuilder>& streams = builders[src];
-    JPAR_RETURN_NOT_OK(RouteByKey(
-        input.parts[src], key_evals, streams.size(),
-        [&](size_t dst, const Tuple& t) { streams[dst].Append(t); }));
+    std::vector<Tuple>& tuples = input.parts[src];
+    std::vector<std::vector<Tuple>>& to = streams[src];
+    std::vector<FrameTally>& tally = tallies[src];
+    to.resize(pcount);
+    tally.assign(pcount, FrameTally(options_.frame_bytes));
+    std::string encoded;
+    // RouteByKey is done with tuple i once it names its destination.
+    Status st = RouteByKey(tuples, key_evals, pcount,
+                           [&](size_t dst, size_t i) {
+                             encoded.clear();
+                             tally[dst].Add(AppendTupleTo(tuples[i], &encoded));
+                             to[dst].push_back(std::move(tuples[i]));
+                           });
     src_ms[src] = ElapsedMs(src_start);
-  }
+    std::vector<Tuple>().swap(tuples);
+    return st;
+  }));
 
-  // Route frames, tallying bytes and modeled network time for frames
-  // that cross node boundaries; receiver side decodes per destination.
-  PartitionSet output;
-  output.parts.assign(static_cast<size_t>(pcount), {});
+  // Each (source, destination) stream is one network transfer in the
+  // modeled cluster — the natural place to lose frames. Streams that
+  // cross node boundaries are charged modeled network time.
   uint64_t cross_bytes = 0;
   uint64_t critical_stream_frames = 0;  // frames on the slowest stream
-  std::vector<double> dst_ms(static_cast<size_t>(pcount), 0.0);
-  for (size_t src = 0; src < builders.size(); ++src) {
-    JPAR_RETURN_NOT_OK(Interrupted("exchange"));
-    for (int dst = 0; dst < pcount; ++dst) {
-      // Each (src, dst) frame stream is one network transfer in the
-      // modeled cluster — the natural place to lose frames.
+  for (size_t src = 0; src < nsrc; ++src) {
+    for (size_t dst = 0; dst < pcount; ++dst) {
       JPAR_RETURN_NOT_OK(Fault(FaultInjector::kExchangeFrameDrop));
-      FrameBuilder& b = builders[src][static_cast<size_t>(dst)];
-      stage->exchange_bytes += b.total_bytes();
-      stage->exchange_tuples += b.tuple_count();
-      stage->oversized_frames += b.oversized_frames();
-      if (b.max_tuple_bytes() > stage->max_tuple_bytes) {
-        stage->max_tuple_bytes = b.max_tuple_bytes();
+      const FrameTally& t = tallies[src][dst];
+      stage->exchange_bytes += t.total_bytes();
+      stage->exchange_tuples += t.tuple_count();
+      stage->exchange_frames += t.frames();
+      stage->oversized_frames += t.oversized_frames();
+      stage->max_tuple_bytes =
+          std::max(stage->max_tuple_bytes, t.max_tuple_bytes());
+      if (NodeOfPartition(static_cast<int>(src)) !=
+          NodeOfPartition(static_cast<int>(dst))) {
+        cross_bytes += t.total_bytes();
+        critical_stream_frames =
+            std::max(critical_stream_frames, t.frames());
       }
-      std::vector<Frame> frames = b.Finish();
-      stage->exchange_frames += frames.size();
-      if (NodeOfPartition(static_cast<int>(src)) != NodeOfPartition(dst)) {
-        for (const Frame& f : frames) cross_bytes += f.bytes.size();
-        if (frames.size() > critical_stream_frames) {
-          critical_stream_frames = frames.size();
-        }
-      }
-      auto dst_start = Clock::now();
-      FrameReader reader(frames);
-      Tuple t;
-      while (true) {
-        JPAR_ASSIGN_OR_RETURN(bool more, reader.Next(&t));
-        if (!more) break;
-        output.parts[static_cast<size_t>(dst)].push_back(std::move(t));
-        t = Tuple();
-      }
-      dst_ms[static_cast<size_t>(dst)] += ElapsedMs(dst_start);
     }
   }
+
+  // Receiver side: each destination concatenates its streams in source
+  // order, so partition contents and order do not depend on threading.
+  PartitionSet output;
+  output.parts.resize(pcount);
+  std::vector<double> dst_ms(pcount, 0.0);
+  JPAR_RETURN_NOT_OK(RunPartitionTasks(pcount, [&](size_t dst) -> Status {
+    auto dst_start = Clock::now();
+    std::vector<Tuple>& out = output.parts[dst];
+    size_t total = 0;
+    for (size_t src = 0; src < nsrc; ++src) total += streams[src][dst].size();
+    out.reserve(total);
+    for (size_t src = 0; src < nsrc; ++src) {
+      std::vector<Tuple>& in = streams[src][dst];
+      out.insert(out.end(), std::make_move_iterator(in.begin()),
+                 std::make_move_iterator(in.end()));
+    }
+    dst_ms[dst] = ElapsedMs(dst_start);
+    for (size_t src = 0; src < nsrc; ++src) {
+      std::vector<Tuple>().swap(streams[src][dst]);
+    }
+    return Status::OK();
+  }));
   stage->exchange_task_ms.push_back(std::move(src_ms));
   stage->exchange_task_ms.push_back(std::move(dst_ms));
 
@@ -1267,29 +1287,41 @@ Result<Executor::PartitionSet> Executor::ExecGroupBy(
 
   const bool spilling = options_.spill == SpillMode::kEnabled;
   MemoryTracker memory(options_.memory_limit_bytes, spilling);
-  std::unique_ptr<SpillManager> spill_mgr;
-  if (spilling) {
-    JPAR_ASSIGN_OR_RETURN(spill_mgr,
-                          SpillManager::Create(options_.spill_dir, ctx_));
-  }
-  uint64_t merge_passes = 0;
-  // Aggregates every partition of `in` into `out`, timing each into
-  // `stage`. `release` returns each partition's memory once it emits.
-  auto aggregate = [&](AggStep step, PartitionSet* in, StageStats* stage,
-                       bool release, PartitionSet* out) -> Status {
-    const size_t n = in->parts.size();
+  // Aggregates every partition of `in`, one task per partition, timing
+  // each into `stage`. Each task has its own spill manager (spill.h
+  // wants one per thread) and merge-pass count, folded into `stats`
+  // after the tasks finish. `release` makes each task return its memory
+  // once it emits.
+  auto aggregate = [&](AggStep step, PartitionSet in, StageStats* stage,
+                       bool release) -> Result<PartitionSet> {
+    const size_t n = in.parts.size();
     stage->partition_ms.assign(n, 0.0);
-    out->parts.assign(n, {});
-    for (size_t p = 0; p < n; ++p) {
+    PartitionSet out;
+    out.parts.assign(n, {});
+    std::vector<std::unique_ptr<SpillManager>> spills(n);
+    std::vector<uint64_t> merge_passes(n, 0);
+    JPAR_RETURN_NOT_OK(RunPartitionTasks(n, [&](size_t p) -> Status {
       auto start = Clock::now();
-      JPAR_RETURN_NOT_OK(AggregatePartition(
-          node, step, in->parts[p], memory.ShareOf(n), &memory,
-          spill_mgr.get(), &merge_passes, &out->parts[p]));
-      in->parts[p].clear();
-      if (release) memory.Release(memory.current_bytes());
+      if (spilling) {
+        JPAR_ASSIGN_OR_RETURN(spills[p],
+                              SpillManager::Create(options_.spill_dir, ctx_));
+      }
+      MemoryTracker task_memory(&memory);
+      std::vector<Tuple> groups;  // local: siblings share cache lines
+      Status st = AggregatePartition(node, step, in.parts[p],
+                                     memory.ShareOf(n), &task_memory,
+                                     spills[p].get(), &merge_passes[p],
+                                     &groups);
+      out.parts[p] = std::move(groups);
+      if (release) task_memory.ReleaseAll();
       stage->partition_ms[p] = ElapsedMs(start);
+      std::vector<Tuple>().swap(in.parts[p]);
+      return st;
+    }));
+    for (size_t p = 0; p < n; ++p) {
+      NoteSpill(spills[p].get(), merge_passes[p], stats);
     }
-    return Status::OK();
+    return out;
   };
 
   // ---- Optional local pre-aggregation stage -------------------------
@@ -1297,30 +1329,26 @@ Result<Executor::PartitionSet> Executor::ExecGroupBy(
   if (two_step) {
     StageStats local_stage;
     local_stage.name = GroupByStageName(AggStep::kLocal);
-    PartitionSet partials;
-    JPAR_RETURN_NOT_OK(aggregate(AggStep::kLocal, &input, &local_stage,
-                                 /*release=*/true, &partials));
+    JPAR_ASSIGN_OR_RETURN(input, aggregate(AggStep::kLocal, std::move(input),
+                                           &local_stage, /*release=*/true));
     stats->Merge(local_stage);
-    input = std::move(partials);
   }
 
   // ---- Exchange by key, then global aggregation ----------------------
   const AggStep step = two_step ? AggStep::kGlobal : AggStep::kComplete;
   StageStats global_stage;
   global_stage.name = GroupByStageName(step);
-  JPAR_ASSIGN_OR_RETURN(
-      PartitionSet exchanged,
-      Exchange(input, GroupKeyEvals(node, step), &global_stage, stats));
-  input.parts.clear();
+  JPAR_ASSIGN_OR_RETURN(PartitionSet exchanged,
+                        Exchange(std::move(input), GroupKeyEvals(node, step),
+                                 &global_stage, stats));
   // The hard-limit mode deliberately never releases between global
   // partitions (it emulates all partitions resident at once, which is
   // what Table 3 measures); the budgeted mode governs each partition
   // task, so its memory returns as soon as the task emits.
-  PartitionSet output;
-  JPAR_RETURN_NOT_OK(
-      aggregate(step, &exchanged, &global_stage, spilling, &output));
+  JPAR_ASSIGN_OR_RETURN(
+      PartitionSet output,
+      aggregate(step, std::move(exchanged), &global_stage, spilling));
   NotePeak(memory, stats);
-  NoteSpill(spill_mgr.get(), merge_passes, stats);
   stats->Merge(global_stage);
   return output;
 }
@@ -1451,34 +1479,44 @@ Result<Executor::PartitionSet> Executor::ExecJoin(const PNode& node,
 
   StageStats stage;
   stage.name = "hash-join";
-  JPAR_ASSIGN_OR_RETURN(PartitionSet left_ex,
-                        Exchange(left, node.left_keys, &stage, stats));
-  left.parts.clear();
-  JPAR_ASSIGN_OR_RETURN(PartitionSet right_ex,
-                        Exchange(right, node.right_keys, &stage, stats));
-  right.parts.clear();
+  JPAR_ASSIGN_OR_RETURN(
+      PartitionSet left_ex,
+      Exchange(std::move(left), node.left_keys, &stage, stats));
+  JPAR_ASSIGN_OR_RETURN(
+      PartitionSet right_ex,
+      Exchange(std::move(right), node.right_keys, &stage, stats));
 
   // Hash joins cannot spill yet; with spilling enabled the build side
   // overruns the budget softly instead of failing the query
-  // (DESIGN.md §10 lists spillable joins as future work).
+  // (DESIGN.md §10 lists spillable joins as future work). A hard limit
+  // bounds every build side resident at once: one partition's without
+  // threads, all concurrent partitions' with them.
   MemoryTracker memory(options_.memory_limit_bytes,
                        options_.spill == SpillMode::kEnabled);
   // Keys were evaluated against pre-exchange column positions; the
   // exchanged tuples preserve layout, so re-evaluate the same evals.
-  stage.partition_ms.assign(left_ex.parts.size(), 0.0);
+  const size_t n = left_ex.parts.size();
+  stage.partition_ms.assign(n, 0.0);
   PartitionSet output;
-  output.parts.assign(left_ex.parts.size(), {});
-  for (size_t p = 0; p < left_ex.parts.size(); ++p) {
+  output.parts.assign(n, {});
+  JPAR_RETURN_NOT_OK(RunPartitionTasks(n, [&](size_t p) -> Status {
     auto start = Clock::now();
+    MemoryTracker task_memory(&memory);
     EvalContext ctx;
     ctx.catalog = catalog_;
-    ctx.memory = &memory;
-    JPAR_RETURN_NOT_OK(JoinOnePartition(node, left_ex.parts[p],
-                                        right_ex.parts[p], &ctx, &memory,
-                                        &output.parts[p]));
-    memory.Release(memory.current_bytes());
+    ctx.memory = &task_memory;
+    // Sibling tasks' output vectors share cache lines: emit into a
+    // local one.
+    std::vector<Tuple> out;
+    Status st = JoinOnePartition(node, left_ex.parts[p], right_ex.parts[p],
+                                 &ctx, &task_memory, &out);
+    output.parts[p] = std::move(out);
+    task_memory.ReleaseAll();
     stage.partition_ms[p] = ElapsedMs(start);
-  }
+    std::vector<Tuple>().swap(left_ex.parts[p]);
+    std::vector<Tuple>().swap(right_ex.parts[p]);
+    return st;
+  }));
   NotePeak(memory, stats);
   stats->Merge(stage);
   return output;
@@ -1776,7 +1814,7 @@ Result<std::vector<Tuple>> Executor::JoinPartition(
   ctx.memory = &memory;
   std::vector<Tuple> out;
   JPAR_RETURN_NOT_OK(JoinOnePartition(node, left, right, &ctx, &memory, &out));
-  memory.Release(memory.current_bytes());
+  memory.ReleaseAll();
   NotePeak(memory, stats);
   stage.partition_ms.assign(1, ElapsedMs(start));
   stats->Merge(stage);
@@ -1804,18 +1842,18 @@ Result<std::vector<Tuple>> Executor::RunOps(
 Status Executor::RouteByKey(
     const std::vector<Tuple>& input,
     const std::vector<ScalarEvalPtr>& key_evals, size_t fanout,
-    const std::function<void(size_t, const Tuple&)>& route) const {
+    const std::function<void(size_t, size_t)>& route) const {
   EvalContext ctx;
   ctx.catalog = catalog_;
   std::hash<std::string> hasher;
   std::string encoded;
-  uint64_t processed = 0;
-  for (const Tuple& tuple : input) {
-    if (++processed % kCheckIntervalTuples == 0) {
+  for (size_t i = 0; i < input.size(); ++i) {
+    if ((i + 1) % kCheckIntervalTuples == 0) {
       JPAR_RETURN_NOT_OK(Interrupted("exchange"));
     }
-    JPAR_RETURN_NOT_OK(EncodeKey(key_evals, tuple, &ctx, &encoded, nullptr));
-    route(hasher(encoded) % fanout, tuple);
+    JPAR_RETURN_NOT_OK(
+        EncodeKey(key_evals, input[i], &ctx, &encoded, nullptr));
+    route(hasher(encoded) % fanout, i);
   }
   return Status::OK();
 }
@@ -1827,7 +1865,7 @@ Result<std::vector<std::vector<Tuple>>> Executor::HashPartition(
       static_cast<size_t>(std::max(fanout, 1)));
   JPAR_RETURN_NOT_OK(RouteByKey(
       input, key_evals, buckets.size(),
-      [&](size_t dst, const Tuple& t) { buckets[dst].push_back(t); }));
+      [&](size_t dst, size_t i) { buckets[dst].push_back(input[i]); }));
   return buckets;
 }
 

@@ -164,7 +164,9 @@ struct ExecOptions {
   size_t frame_bytes = 32 * 1024;
   /// 0 = unlimited. With spill == kDisabled exceeding it fails the
   /// query (ResourceExhausted); with kEnabled it is the soft budget
-  /// spilling operators stay under (see SpillMode).
+  /// spilling operators stay under (see SpillMode). It bounds what an
+  /// operator holds at once: with use_threads that is the sum over its
+  /// concurrently running partitions.
   uint64_t memory_limit_bytes = 0;
   /// Memory-governance discipline for blocking operators.
   SpillMode spill = SpillMode::kDisabled;
@@ -179,12 +181,14 @@ struct ExecOptions {
   /// Directory for temp run files; empty = the system temp directory.
   /// Must exist and be writable when spilling is enabled.
   std::string spill_dir;
-  /// Run partition tasks on real threads. Off by default: the
-  /// reproduction host is single-core, and sequential execution gives
-  /// deterministic per-partition timings for the makespan model. A
-  /// DATASCAN runs the same plan/run steps either way; without threads
-  /// each file is one morsel, planned and run in file order on the
-  /// calling thread.
+  /// Run partition tasks on real threads: the DATASCAN morsel pool,
+  /// and one thread per partition for every later pipeline, exchange
+  /// half, join and group-by stage. Off by default, because sequential
+  /// execution gives uncontended per-partition timings for the makespan
+  /// model. Answers, their order and every counter except timings and
+  /// peak memory are the same either way. A DATASCAN runs the same
+  /// plan/run steps either way; without threads each file is one
+  /// morsel, planned and run in file order on the calling thread.
   bool use_threads = false;
   /// Simulated interconnect for cross-node exchange bytes.
   double network_gbps = 1.0;
@@ -393,18 +397,31 @@ class Executor {
                           std::vector<Tuple>* out) const;
   Result<PartitionSet> ExecSort(const PNode& node, ExecStats* stats) const;
 
+  /// Runs task(p) for every partition p < n and returns the first
+  /// failure in partition order. With use_threads each task runs on its
+  /// own thread and all of them run to the end; otherwise they run in
+  /// order on the calling thread, stopping at the first failure. Every
+  /// operator stage past the DATASCAN morsel pool runs through it.
+  Status RunPartitionTasks(size_t n,
+                           const std::function<Status(size_t)>& task) const;
   /// Hash-exchanges `input` into options_.partitions buckets by the
-  /// encoded value of `key_evals`; records serde bytes/frames and
-  /// simulated network time into `stage`.
-  Result<PartitionSet> Exchange(const PartitionSet& input,
+  /// encoded value of `key_evals`. In process, one sender task per
+  /// source partition moves its tuples into per-destination streams and
+  /// one receiver task per destination concatenates them in source
+  /// order; no frame is built. The frame and byte counters in `stage`
+  /// and the modeled network time come from each tuple's encoded size
+  /// under the FrameTally packing rule, so they equal what a frame-
+  /// encoding exchange would report, byte for byte.
+  Result<PartitionSet> Exchange(PartitionSet input,
                                 const std::vector<ScalarEvalPtr>& key_evals,
                                 StageStats* stage, ExecStats* stats) const;
-  /// The routing rule of Exchange and HashPartition: hands each tuple
-  /// of `input` to `route` with bucket std::hash(encoded key) % fanout.
-  Status RouteByKey(
-      const std::vector<Tuple>& input,
-      const std::vector<ScalarEvalPtr>& key_evals, size_t fanout,
-      const std::function<void(size_t, const Tuple&)>& route) const;
+  /// The routing rule of Exchange and HashPartition: calls route(b, i)
+  /// for each tuple i of `input`, with bucket b = std::hash(encoded
+  /// key) % fanout. Tuple i is not read again once routed.
+  Status RouteByKey(const std::vector<Tuple>& input,
+                    const std::vector<ScalarEvalPtr>& key_evals,
+                    size_t fanout,
+                    const std::function<void(size_t, size_t)>& route) const;
 
   int NodeOfPartition(int p) const {
     return p / (options_.partitions_per_node > 0

@@ -330,7 +330,11 @@ Result<Item> DateTimeComponent(Builtin fn, const Item& arg) {
 class FunctionEval : public ScalarEval {
  public:
   FunctionEval(Builtin fn, std::vector<ScalarEvalPtr> args)
-      : fn_(fn), args_(std::move(args)) {}
+      : fn_(fn), args_(std::move(args)) {
+    if (fn_ == Builtin::kValue && args_.size() == 2) {
+      value_key_ = args_[1]->shape_constant();
+    }
+  }
 
   Result<Item> Eval(const Tuple& tuple, EvalContext* ctx) const override;
 
@@ -353,6 +357,10 @@ class FunctionEval : public ScalarEval {
  private:
   Builtin fn_;
   std::vector<ScalarEvalPtr> args_;
+  // value(x, <constant>) reads its key in place, like bytecode's
+  // kValueConst: copying the one shared constant per call would bounce
+  // its refcount between the cores running sibling partitions.
+  const Item* value_key_ = nullptr;
 };
 
 Result<Item> EvalCollection(const std::string& name, EvalContext* ctx) {
@@ -404,6 +412,11 @@ Result<Item> FunctionEval::Eval(const Tuple& tuple, EvalContext* ctx) const {
     JPAR_ASSIGN_OR_RETURN(Item rhs, args_[1]->Eval(tuple, ctx));
     JPAR_ASSIGN_OR_RETURN(bool rb, rhs.EffectiveBooleanValue());
     return Item::Boolean(rb);
+  }
+
+  if (value_key_ != nullptr) {
+    JPAR_ASSIGN_OR_RETURN(Item target, args_[0]->Eval(tuple, ctx));
+    return ValueStep(target, *value_key_);
   }
 
   std::vector<Item> vals;

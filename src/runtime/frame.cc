@@ -15,11 +15,7 @@ size_t AppendTupleTo(const Tuple& tuple, std::string* out) {
 size_t FrameBuilder::Append(const Tuple& tuple) {
   size_t encoded = AppendTupleTo(tuple, &current_.bytes);
   ++current_.tuple_count;
-  ++tuple_count_;
-  total_bytes_ += encoded;
-  if (encoded > max_tuple_bytes_) max_tuple_bytes_ = encoded;
-  if (encoded > target_bytes_) ++oversized_frames_;
-  if (current_.bytes.size() >= target_bytes_) {
+  if (tally_.Add(encoded)) {
     finished_.push_back(std::move(current_));
     current_ = Frame();
   }

@@ -26,12 +26,22 @@ class MemoryTracker {
   explicit MemoryTracker(uint64_t limit_bytes = 0, bool soft = false)
       : limit_(limit_bytes), soft_(soft) {}
 
+  /// One task's view of `parent`: every charge and release also applies
+  /// to the parent, whose limit and discipline decide, while
+  /// current_bytes() counts only this task's bytes. Concurrent partition
+  /// tasks of one operator each charge through their own view, so a
+  /// finished task returns exactly what it charged and never a running
+  /// sibling's bytes.
+  explicit MemoryTracker(MemoryTracker* parent)
+      : limit_(parent->limit_), soft_(parent->soft_), parent_(parent) {}
+
   Status Allocate(uint64_t bytes) {
     uint64_t now = current_.fetch_add(bytes) + bytes;
     // Lock-free peak update.
     uint64_t peak = peak_.load();
     while (now > peak && !peak_.compare_exchange_weak(peak, now)) {
     }
+    if (parent_ != nullptr) return parent_->Allocate(bytes);
     if (!soft_ && limit_ != 0 && now > limit_) {
       return Status::ResourceExhausted(
           "memory limit exceeded: " + std::to_string(now) + " > " +
@@ -40,7 +50,13 @@ class MemoryTracker {
     return Status::OK();
   }
 
-  void Release(uint64_t bytes) { current_.fetch_sub(bytes); }
+  void Release(uint64_t bytes) {
+    current_.fetch_sub(bytes);
+    if (parent_ != nullptr) parent_->Release(bytes);
+  }
+
+  /// Returns everything still charged through this tracker.
+  void ReleaseAll() { Release(current_.load()); }
 
   uint64_t current_bytes() const { return current_.load(); }
   uint64_t peak_bytes() const { return peak_.load(); }
@@ -66,6 +82,7 @@ class MemoryTracker {
   std::atomic<uint64_t> peak_{0};
   uint64_t limit_;
   bool soft_;
+  MemoryTracker* parent_ = nullptr;  // not owned; null = a root tracker
 };
 
 }  // namespace jpar

@@ -23,8 +23,8 @@ enum class CounterMerge : uint8_t {
 /// Scalar counters of one StageStats; partition tasks of a stage fold
 /// into them by their merge rule.
 #define JPAR_STAGE_COUNTERS(X)                                                \
-  /* Total time spent serializing/deserializing and routing exchange          \
-     frames (single-host wall clock; kept for reference). */                  \
+  /* Total wall-clock time of this stage's exchanges: routing tuples by       \
+     key and accounting their frames (kept for reference). */                 \
   X(double, exchange_ms, kSum)                                                \
   /* Simulated cross-node network time for this stage's exchange. */          \
   X(double, network_ms, kSum)                                                 \
@@ -125,14 +125,14 @@ enum class CounterMerge : uint8_t {
 /// to completion before the next stage starts.
 struct StageStats {
   std::string name;
-  /// Wall-clock milliseconds per partition task. On a single-core host
+  /// Wall-clock milliseconds per partition task. Without use_threads
   /// partitions run sequentially; the simulated-parallel makespan of the
   /// stage is max(partition_ms).
   std::vector<double> partition_ms;
   /// Per-task exchange times for the makespan model: one vector per
-  /// exchange phase (sender-side encode tasks, receiver-side decode
-  /// tasks), each LPT-scheduled onto the modeled cores like ordinary
-  /// partition tasks.
+  /// exchange phase (sender-side route-and-account tasks, receiver-side
+  /// gather tasks), each LPT-scheduled onto the modeled cores like
+  /// ordinary partition tasks.
   std::vector<std::vector<double>> exchange_task_ms;
   JPAR_STAGE_COUNTERS(JPAR_COUNTER_MEMBER)
 

@@ -1,5 +1,6 @@
 // Direct physical-plan tests: PNode trees built by hand (no JSONiq
-// frontend) run through the Executor against a small catalog.
+// frontend) run through the Executor against a small catalog, plus an
+// exchange-accounting oracle over the compiled paper queries.
 
 #include "runtime/executor.h"
 
@@ -13,8 +14,12 @@
 #include <filesystem>
 #include <fstream>
 
+#include "bench/queries.h"
+#include "core/engine.h"
+#include "data/sensor_generator.h"
 #include "json/binary_serde.h"
 #include "json/parser.h"
+#include "runtime/frame.h"
 #include "runtime/spill.h"
 
 namespace jpar {
@@ -831,6 +836,261 @@ TEST(ValidateExecOptionsTest, ExecutorRunRejectsBadRobustnessKnobs) {
   auto out = executor.Run(plan);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------
+// Exchange accounting oracle. The in-process exchange moves tuples and
+// computes its frame counters from encoded sizes; the reference below
+// re-runs a plan partition by partition through the fragment API and
+// encodes every (source, destination) stream into real frames with
+// FrameBuilder. A scan partition is the executor over the files
+// assigned to it round-robin, as a distributed worker sees it.
+// ---------------------------------------------------------------------
+
+struct ExchangeCounters {
+  std::string stage;
+  uint64_t bytes = 0;
+  uint64_t frames = 0;
+  uint64_t tuples = 0;
+  uint64_t oversized = 0;
+  uint64_t max_tuple = 0;
+  double network_ms = 0;
+};
+
+bool IsExchangeStage(const std::string& name) {
+  return name == "hash-join" || name == "group-by (global merge)" ||
+         name == "group-by (hash)";
+}
+
+class ReferenceExchangeRun {
+ public:
+  ReferenceExchangeRun(const Catalog* catalog, const ExecOptions& options)
+      : catalog_(catalog), options_(options) {
+    options_.use_threads = false;
+  }
+
+  using Parts = std::vector<std::vector<Tuple>>;
+
+  Parts Exec(const PNode& node) {
+    Executor executor(catalog_, options_);
+    ExecStats ignored;
+    Parts out;
+    switch (node.kind) {
+      case PNode::Kind::kPipeline:
+        if (node.input == nullptr) return ScanPartitions(node);
+        for (std::vector<Tuple>& part : Exec(*node.input)) {
+          out.push_back(Must(executor.RunOps(node.ops, std::move(part),
+                                             &ignored)));
+        }
+        return out;
+      case PNode::Kind::kGroupBy: {
+        const bool two_step = Executor::GroupByUsesTwoStep(node);
+        Parts input = Exec(*node.input);
+        std::vector<ScalarEvalPtr> keys = node.keys;
+        if (two_step) {
+          for (std::vector<Tuple>& part : input) {
+            part = Must(executor.GroupByLocal(node, part, &ignored));
+          }
+          keys.clear();
+          for (size_t i = 0; i < node.keys.size(); ++i) {
+            keys.push_back(MakeColumnEval(static_cast<int>(i)));
+          }
+        }
+        ExchangeCounters stage;
+        stage.stage = two_step ? "group-by (global merge)" : "group-by (hash)";
+        for (std::vector<Tuple>& part : Exchange(input, keys, &stage)) {
+          out.push_back(Must(
+              executor.GroupByGlobal(node, part, two_step, &ignored)));
+        }
+        stages.push_back(stage);
+        return out;
+      }
+      case PNode::Kind::kJoin: {
+        Parts left = Exec(*node.left);
+        Parts right = Exec(*node.right);
+        ExchangeCounters stage;
+        stage.stage = "hash-join";
+        Parts left_ex = Exchange(left, node.left_keys, &stage);
+        Parts right_ex = Exchange(right, node.right_keys, &stage);
+        for (size_t p = 0; p < left_ex.size(); ++p) {
+          out.push_back(Must(executor.JoinPartition(node, left_ex[p],
+                                                    right_ex[p], &ignored)));
+        }
+        stages.push_back(stage);
+        return out;
+      }
+      case PNode::Kind::kSort:
+        ADD_FAILURE() << "the reference does not model sort";
+        return out;
+    }
+    return out;
+  }
+
+  std::vector<ExchangeCounters> stages;
+
+ private:
+  template <typename T>
+  static T Must(Result<T> r) {
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? std::move(*r) : T();
+  }
+
+  Parts ScanPartitions(const PNode& node) {
+    Parts out;
+    if (node.scan.kind != ScanDesc::Kind::kDataScan) {
+      Executor executor(catalog_, options_);
+      ExecStats ignored;
+      out.push_back(Must(executor.RunSubtree(node, &ignored)));
+      return out;
+    }
+    const Collection* coll = *catalog_->GetCollection(node.scan.collection);
+    const size_t pcount = std::max<size_t>(
+        1, std::min(coll->files.size(),
+                    static_cast<size_t>(options_.partitions)));
+    for (size_t p = 0; p < pcount; ++p) {
+      Collection slice;
+      for (size_t i = p; i < coll->files.size(); i += pcount) {
+        slice.files.push_back(coll->files[i]);
+      }
+      Catalog sliced;
+      sliced.RegisterCollection(node.scan.collection, std::move(slice));
+      ExecOptions one = options_;
+      one.partitions = 1;
+      Executor executor(&sliced, one);
+      ExecStats ignored;
+      out.push_back(Must(executor.RunSubtree(node, &ignored)));
+    }
+    return out;
+  }
+
+  Parts Exchange(const Parts& input, const std::vector<ScalarEvalPtr>& keys,
+                 ExchangeCounters* stage) {
+    Executor executor(catalog_, options_);
+    const int pcount = options_.partitions;
+    auto node_of = [&](size_t p) {
+      return static_cast<int>(p) / options_.partitions_per_node;
+    };
+    Parts out(static_cast<size_t>(pcount));
+    uint64_t cross_bytes = 0;
+    uint64_t critical_frames = 0;
+    for (size_t src = 0; src < input.size(); ++src) {
+      Parts buckets = Must(executor.HashPartition(input[src], keys, pcount));
+      for (size_t dst = 0; dst < buckets.size(); ++dst) {
+        FrameBuilder builder(options_.frame_bytes);
+        for (const Tuple& t : buckets[dst]) builder.Append(t);
+        stage->bytes += builder.total_bytes();
+        stage->tuples += builder.tuple_count();
+        stage->oversized += builder.oversized_frames();
+        stage->max_tuple = std::max(stage->max_tuple, builder.max_tuple_bytes());
+        std::vector<Frame> frames = builder.Finish();
+        stage->frames += frames.size();
+        if (node_of(src) != node_of(dst)) {
+          for (const Frame& f : frames) cross_bytes += f.bytes.size();
+          critical_frames = std::max<uint64_t>(critical_frames, frames.size());
+        }
+        out[dst].insert(out[dst].end(), buckets[dst].begin(),
+                        buckets[dst].end());
+      }
+    }
+    stage->network_ms += static_cast<double>(cross_bytes) * 8.0 /
+                             (options_.network_gbps * 1e6) +
+                         static_cast<double>(critical_frames) *
+                             options_.network_latency_ms_per_frame;
+    return out;
+  }
+
+  const Catalog* catalog_;
+  ExecOptions options_;
+};
+
+std::vector<std::string> JsonRows(const std::vector<Item>& items) {
+  std::vector<std::string> rows;
+  for (const Item& i : items) rows.push_back(i.ToJsonString());
+  return rows;
+}
+
+TEST(ExchangeOracleTest, PaperQueryCountersMatchFrameEncodingReference) {
+  SensorDataSpec spec;
+  spec.num_files = 5;
+  spec.records_per_file = 6;
+  spec.measurements_per_array = 16;
+  spec.num_stations = 4;
+  spec.seed = 15;
+  const Collection data = GenerateSensorCollection(spec);
+  // Over the whole grid the oracle must see what it is meant to check.
+  uint64_t oversized = 0;
+  double network_ms = 0;
+  for (const jparbench::NamedQuery& q : jparbench::kAllQueries) {
+    for (int partitions = 1; partitions <= 4; ++partitions) {
+      // Small frames give multi-frame streams and oversized tuples; two
+      // partitions per node make some streams cross-node.
+      for (size_t frame_bytes : {size_t{24}, size_t{32} * 1024}) {
+        SCOPED_TRACE(std::string(q.name) + " at " +
+                     std::to_string(partitions) + " partitions, " +
+                     std::to_string(frame_bytes) + "-byte frames");
+        EngineOptions options;
+        options.exec.partitions = partitions;
+        options.exec.partitions_per_node = 2;
+        options.exec.frame_bytes = frame_bytes;
+        Engine engine(options);
+        engine.catalog()->RegisterCollection("/sensors", data);
+        auto compiled = engine.Compile(q.text);
+        ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+
+        ReferenceExchangeRun reference(engine.catalog(), options.exec);
+        ASSERT_NE(compiled->physical.root, nullptr);
+        std::vector<std::string> rows;
+        for (const std::vector<Tuple>& part :
+             reference.Exec(*compiled->physical.root)) {
+          for (const Tuple& t : part) {
+            const size_t col =
+                static_cast<size_t>(compiled->physical.result_column);
+            ASSERT_LT(col, t.size());
+            rows.push_back(t[col].ToJsonString());
+          }
+        }
+        double reference_network_ms = 0;
+        for (const ExchangeCounters& c : reference.stages) {
+          reference_network_ms += c.network_ms;
+          oversized += c.oversized;
+        }
+        network_ms += reference_network_ms;
+
+        for (bool threads : {false, true}) {
+          SCOPED_TRACE(threads ? "threaded" : "sequential");
+          ExecOptions exec = options.exec;
+          exec.use_threads = threads;
+          auto out = engine.Execute(*compiled, exec);
+          ASSERT_TRUE(out.ok()) << out.status().ToString();
+          std::vector<ExchangeCounters> actual;
+          for (const StageStats& s : out->stats.stages) {
+            if (!IsExchangeStage(s.name)) continue;
+            actual.push_back({s.name, s.exchange_bytes, s.exchange_frames,
+                              s.exchange_tuples, s.oversized_frames,
+                              s.max_tuple_bytes, s.network_ms});
+          }
+          ASSERT_EQ(actual.size(), reference.stages.size());
+          for (size_t i = 0; i < actual.size(); ++i) {
+            const ExchangeCounters& a = actual[i];
+            const ExchangeCounters& r = reference.stages[i];
+            EXPECT_EQ(a.stage, r.stage);
+            EXPECT_EQ(a.bytes, r.bytes) << a.stage;
+            EXPECT_EQ(a.frames, r.frames) << a.stage;
+            EXPECT_EQ(a.tuples, r.tuples) << a.stage;
+            EXPECT_EQ(a.oversized, r.oversized) << a.stage;
+            EXPECT_EQ(a.max_tuple, r.max_tuple) << a.stage;
+            EXPECT_DOUBLE_EQ(a.network_ms, r.network_ms) << a.stage;
+          }
+          EXPECT_DOUBLE_EQ(out->stats.network_ms, reference_network_ms);
+          // Neither the exchange nor threads change the answer or its
+          // order.
+          EXPECT_EQ(JsonRows(out->items), rows);
+        }
+      }
+    }
+  }
+  EXPECT_GT(oversized, 0u);
+  EXPECT_GT(network_ms, 0.0);
 }
 
 }  // namespace

@@ -527,6 +527,104 @@ TEST(LifecycleMatrixTest, MixedOutcomesLeaveBalancedCounters) {
 }
 
 // ---------------------------------------------------------------------
+// Threaded operator stages: with use_threads every exchange half, join
+// and group-by partition runs on its own thread. A fault or a cancel
+// must come back as the same typed error as without threads, and no
+// partition thread may outlive the failed query.
+// ---------------------------------------------------------------------
+
+// Threads of this process, from /proc/self/task (Linux).
+size_t ProcessThreadCount() {
+  size_t n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+Status RunWithFault(const char* query, bool threads, std::string_view point,
+                    const Status& error) {
+  FaultInjector faults;
+  faults.ArmProbability(point, 1.0, error);
+  Engine engine;
+  RegisterDocs(engine.catalog(), MakeDocs());
+  auto compiled = engine.Compile(query);
+  EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+  if (!compiled.ok()) return compiled.status();
+  ExecOptions exec;
+  exec.partitions = 4;
+  exec.use_threads = threads;
+  QueryContext ctx;
+  ctx.set_fault_injector(&faults);
+  auto out = engine.Execute(*compiled, exec, &ctx);
+  EXPECT_GE(faults.injected_count(point), 1u);
+  return out.status();
+}
+
+TEST(ThreadedLifecycleTest, FaultsMatchSequentialAndLeaveNoThreads) {
+  struct FaultCase {
+    std::string_view point;
+    const char* query;
+    Status error;
+  };
+  const FaultCase kCases[] = {
+      {FaultInjector::kExchangeFrameDrop, kStageQueries[4].query,
+       Status::IOError("injected: exchange frame dropped")},
+      {FaultInjector::kAllocFail, kStageQueries[2].query,
+       Status::ResourceExhausted("injected: join table allocation")},
+      {FaultInjector::kAllocFail, kStageQueries[1].query,
+       Status::ResourceExhausted("injected: group table allocation")},
+  };
+  const size_t threads_before = ProcessThreadCount();
+  for (const FaultCase& fc : kCases) {
+    SCOPED_TRACE(std::string(fc.point) + " on " + fc.query);
+    Status sequential = RunWithFault(fc.query, false, fc.point, fc.error);
+    Status threaded = RunWithFault(fc.query, true, fc.point, fc.error);
+    EXPECT_EQ(threaded.code(), fc.error.code()) << threaded.ToString();
+    EXPECT_EQ(threaded.ToString(), sequential.ToString());
+    EXPECT_LE(ProcessThreadCount(), threads_before);
+  }
+}
+
+// A cancel that lands while the join's partitions are building (each
+// build row stalls at alloc.fail) surfaces as kCancelled with threads
+// on and off, and the query returns only after every partition thread
+// has finished.
+TEST(ThreadedLifecycleTest, CancelDuringJoinMatchesSequential) {
+  Engine engine;
+  RegisterDocs(engine.catalog(), MakeDocs());
+  auto compiled = engine.Compile(kStageQueries[2].query);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const size_t threads_before = ProcessThreadCount();
+  for (bool threads : {false, true}) {
+    SCOPED_TRACE(threads ? "threaded" : "sequential");
+    FaultInjector faults;
+    faults.ArmStall(FaultInjector::kAllocFail, /*stall_ms=*/2);
+    auto token = std::make_shared<CancellationToken>();
+    QueryContext ctx;
+    ctx.set_cancellation(token);
+    ctx.set_fault_injector(&faults);
+    ExecOptions exec;
+    exec.partitions = 4;
+    exec.use_threads = threads;
+    std::thread canceller([&] {
+      while (faults.hit_count(FaultInjector::kAllocFail) == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      token->Cancel();
+    });
+    auto out = engine.Execute(*compiled, exec, &ctx);
+    canceller.join();
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), StatusCode::kCancelled)
+        << out.status().ToString();
+    EXPECT_LE(ProcessThreadCount(), threads_before);
+  }
+}
+
+// ---------------------------------------------------------------------
 // Engine-level (no service): the same context drives a bare Execute.
 // ---------------------------------------------------------------------
 

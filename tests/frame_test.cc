@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+#include <vector>
+
 namespace jpar {
 namespace {
 
@@ -100,6 +105,81 @@ TEST(FrameTest, CorruptFrameReportsError) {
   FrameReader reader(frames);
   Tuple t;
   EXPECT_FALSE(reader.Next(&t).ok());
+}
+
+// The in-process exchange counts frames with a bare FrameTally from
+// each tuple's encoded size; FrameBuilder packs real frames. Over random
+// streams — empty ones, tuples far larger than the frame, several frame
+// sizes — the tally must report exactly the frames and counters that
+// FrameBuilder::Finish() produces.
+TEST(FrameTest, TallyMatchesBuiltFramesOnRandomStreams) {
+  std::mt19937_64 rng(20181);
+  auto random_tuple = [&]() {
+    Tuple t;
+    const int width = static_cast<int>(rng() % 4);  // 0 = empty tuple
+    for (int c = 0; c < width; ++c) {
+      switch (rng() % 4) {
+        case 0:
+          t.push_back(Item::Int64(static_cast<int64_t>(rng() % 100000)));
+          break;
+        case 1:
+          t.push_back(Item::Double(static_cast<double>(rng() % 1000) / 7));
+          break;
+        case 2: {
+          // Mostly short strings, now and then one of several KiB.
+          size_t len = rng() % 8 == 0 ? 1000 + rng() % 5000 : rng() % 40;
+          t.push_back(Item::String(std::string(len, 'a' + rng() % 26)));
+          break;
+        }
+        default:
+          t.push_back(Item::MakeArray({Item::Null(), Item::Boolean(true)}));
+          break;
+      }
+    }
+    return t;
+  };
+  for (size_t frame_bytes : {1u, 64u, 700u, 4096u, 32u * 1024u}) {
+    for (int stream = 0; stream < 40; ++stream) {
+      SCOPED_TRACE("frame_bytes " + std::to_string(frame_bytes) +
+                   ", stream " + std::to_string(stream));
+      const int n = stream % 10 == 0 ? 0 : static_cast<int>(rng() % 300);
+      FrameBuilder builder(frame_bytes);
+      FrameTally tally(frame_bytes);
+      std::string encoded;
+      for (int i = 0; i < n; ++i) {
+        Tuple t = random_tuple();
+        encoded.clear();
+        size_t size = AppendTupleTo(t, &encoded);
+        EXPECT_EQ(builder.Append(t), size);
+        tally.Add(size);
+      }
+      const uint64_t tuples = builder.tuple_count();
+      const uint64_t bytes = builder.total_bytes();
+      const uint64_t oversized = builder.oversized_frames();
+      const uint64_t max_tuple = builder.max_tuple_bytes();
+      std::vector<Frame> frames = builder.Finish();
+      uint64_t frame_bytes_sum = 0;
+      uint64_t frame_tuples = 0;
+      uint64_t largest_single = 0;
+      for (const Frame& f : frames) {
+        frame_bytes_sum += f.bytes.size();
+        frame_tuples += f.tuple_count;
+        if (f.tuple_count == 1) {
+          largest_single = std::max<uint64_t>(largest_single, f.bytes.size());
+        }
+      }
+      EXPECT_EQ(tally.frames(), frames.size());
+      EXPECT_EQ(tally.total_bytes(), frame_bytes_sum);
+      EXPECT_EQ(tally.total_bytes(), bytes);
+      EXPECT_EQ(tally.tuple_count(), frame_tuples);
+      EXPECT_EQ(tally.tuple_count(), tuples);
+      EXPECT_EQ(tally.tuple_count(), static_cast<uint64_t>(n));
+      EXPECT_EQ(tally.oversized_frames(), oversized);
+      EXPECT_EQ(tally.max_tuple_bytes(), max_tuple);
+      EXPECT_GE(tally.max_tuple_bytes(), largest_single);
+      EXPECT_EQ(ReadAll(frames).size(), static_cast<size_t>(n));
+    }
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -127,6 +128,46 @@ TEST(SpillDifferentialTest, GroupByQueriesSpillUnderTinyBudget) {
       EXPECT_GT(out->stats.spill_merge_passes, 0u);
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// Threaded spilling: every group-by and join partition runs on its own
+// thread, each group-by task with its own spill manager. The rows must
+// be byte-identical, in order, to the same spilling run without
+// threads; the group-bys must really spill; and no run file may outlive
+// the query.
+// ---------------------------------------------------------------------
+
+TEST(SpillDifferentialTest, ThreadedSpillingMatchesSequentialInOrder) {
+  namespace fs = std::filesystem;
+  const std::string dir = ::testing::TempDir() + "/jpar_spill_threads";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  for (const RuleOptions& rules : {RuleOptions::All(), NoTwoStep()}) {
+    for (const jparbench::NamedQuery& q : jparbench::kAllQueries) {
+      SCOPED_TRACE(std::string(q.name) +
+                   (rules.two_step_aggregation ? "" : " without two-step"));
+      SpillConfig sequential{"spill-sequential", rules, TinyBudget()};
+      sequential.exec.partitions = 4;
+      sequential.exec.spill_dir = dir;
+      SpillConfig threaded = sequential;
+      threaded.name = "spill-threaded";
+      threaded.exec.use_threads = true;
+      auto expected = RunSensors(q.text, sequential);
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      auto out = RunSensors(q.text, threaded);
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      EXPECT_EQ(Rows(*out), Rows(*expected));  // ordered comparison
+      EXPECT_EQ(out->stats.spill_runs, expected->stats.spill_runs);
+      EXPECT_EQ(out->stats.spill_bytes_written,
+                expected->stats.spill_bytes_written);
+      if (q.text == jparbench::kQ1 || q.text == jparbench::kQ1b) {
+        EXPECT_GT(out->stats.spill_runs, 0u);
+      }
+      EXPECT_TRUE(fs::is_empty(dir));
+    }
+  }
+  fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------
