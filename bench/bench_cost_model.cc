@@ -36,9 +36,8 @@ using jpar::ExecOptions;
 using jpar::Item;
 using jpar::JsonFile;
 using jpar::SpillMode;
-using jpar::StatsDisabledByEnv;
 using jpar::StatsMode;
-using jpar::StatsStore;
+using jpar::StorageManager;
 
 double MsBetween(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
@@ -268,15 +267,7 @@ std::string FanoutSection(BenchDir* dir) {
 }
 
 void RunBench() {
-  if (StatsDisabledByEnv()) {
-    // The kill-switch job still runs the bench; record a no-op so the
-    // freshness check passes without pretending a win was measured.
-    std::printf("JPAR_DISABLE_STATS set; cost-model levers inert\n");
-    UpdateBenchJsonSection("BENCH_cost_model.json", "disabled",
-                           "{\"stats_disabled\": true}");
-    return;
-  }
-  StatsStore::Instance().Clear();
+  StorageManager::Instance().Clear();
   BenchDir dir;
   std::string join = JoinSection(&dir);
   std::string fanout = FanoutSection(&dir);

@@ -145,8 +145,7 @@ QueryResult BenchQuery(const Engine& engine, const char* name,
     std::fprintf(stderr, "%s: warm rows differ from cold rows\n", name);
     std::exit(1);
   }
-  if (!jpar::StorageCacheDisabledByEnv() &&
-      (r.tape.tape_hits == 0 || r.columnar.columns_read == 0)) {
+  if (r.tape.tape_hits == 0 || r.columnar.columns_read == 0) {
     std::fprintf(stderr, "%s: warm run did not engage the cache\n", name);
     std::exit(1);
   }

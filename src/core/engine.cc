@@ -28,9 +28,8 @@ Result<CompiledQuery> Engine::Compile(std::string_view query,
   // The cost model lives for this compilation only: estimates are
   // advisory annotations, so a plan compiled against stale or missing
   // stats still returns identical answers (DESIGN.md §15).
-  StatsConfig stats_cfg;
-  stats_cfg.cache_dir = exec.storage_cache_dir;
-  CostModel cost_model(&catalog_, exec.stats_mode, std::move(stats_cfg));
+  CostModel cost_model(&catalog_, exec.stats_mode,
+                       StorageConfig{exec.storage_cache_dir});
 
   RewriteEngine rewriter(rules);
   JPAR_ASSIGN_OR_RETURN(compiled.fired_rules,

@@ -163,7 +163,6 @@ void EncodeExecOptions(const ExecOptions& exec, std::string* out) {
   PutVarint(exec.batch_size, out);
   out->push_back(static_cast<char>(exec.storage_mode));
   PutBytes(exec.storage_cache_dir, out);
-  PutVarint(exec.storage_budget_bytes, out);
   out->push_back(static_cast<char>(exec.stats_mode));
 }
 
@@ -202,7 +201,6 @@ Status DecodeExecOptions(PayloadReader* r, ExecOptions* out) {
   JPAR_ASSIGN_OR_RETURN(uint8_t storage_mode, r->Byte());
   out->storage_mode = static_cast<StorageMode>(storage_mode);
   JPAR_ASSIGN_OR_RETURN(out->storage_cache_dir, r->String());
-  JPAR_ASSIGN_OR_RETURN(out->storage_budget_bytes, r->Varint());
   JPAR_ASSIGN_OR_RETURN(uint8_t stats_mode, r->Byte());
   out->stats_mode = static_cast<StatsMode>(stats_mode);
   return Status::OK();

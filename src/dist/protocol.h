@@ -39,7 +39,7 @@ enum class MsgType : uint8_t {
 /// Bumped whenever a payload layout changes (e.g. a counter is added to
 /// runtime/stats.h). DecodeHello rejects any other version, so the
 /// dispatcher drops a worker from another build.
-inline constexpr uint32_t kProtocolVersion = 2;
+inline constexpr uint32_t kProtocolVersion = 3;
 
 /// Bounds-checked little decoder for protocol payloads. Every read
 /// fails with kIOError on truncation — corrupt input is rejected, never

@@ -7,10 +7,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+
+#include "common/checksum.h"
 
 namespace jpar {
 
@@ -34,25 +35,6 @@ uint32_t GetU32(const unsigned char* p) {
 }
 
 }  // namespace
-
-uint32_t WireCrc32(std::string_view data) {
-  static const auto table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  uint32_t crc = 0xFFFFFFFFu;
-  for (unsigned char b : data) {
-    crc = table[(crc ^ b) & 0xFF] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
 
 void Socket::Close() {
   if (fd_ >= 0) {
@@ -267,7 +249,7 @@ Status WriteMessage(Socket* sock, uint8_t type, std::string_view payload) {
   PutU32(kWireMagic, &buf);
   buf.push_back(static_cast<char>(type));
   PutU32(static_cast<uint32_t>(payload.size()), &buf);
-  PutU32(WireCrc32(payload), &buf);
+  PutU32(Crc32(payload), &buf);
   buf.append(payload.data(), payload.size());
   return sock->SendAll(buf.data(), buf.size());
 }
@@ -299,7 +281,7 @@ Result<bool> ReadMessage(Socket* sock, WireMessage* out) {
       return Status::IOError("peer closed before message payload");
     }
   }
-  uint32_t got_crc = WireCrc32(out->payload);
+  uint32_t got_crc = Crc32(out->payload);
   if (got_crc != want_crc) {
     return Status::IOError("wire payload checksum mismatch (message type " +
                            std::to_string(out->type) + ", " +

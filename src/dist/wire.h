@@ -86,9 +86,6 @@ inline constexpr uint32_t kWireMagic = 0x5241504Au;  // "JPAR" LE
 /// Framed-message header size: magic + type + length + payload CRC32.
 inline constexpr size_t kWireHeaderBytes = 13;
 
-/// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `data` —
-/// the checksum carried in every wire header.
-uint32_t WireCrc32(std::string_view data);
 /// Upper bound on one message's payload. Frames are ~ExecOptions::
 /// frame_bytes, catalog syncs ship one file per message; 1 GiB is far
 /// above anything legitimate and small enough to refuse garbage.

@@ -56,14 +56,12 @@ double ElapsedMs(Clock::time_point start) {
 std::string IndentStr(int n) { return std::string(static_cast<size_t>(n), ' '); }
 
 /// Which warm-storage access paths this query may use (DESIGN.md §14).
-/// The JPAR_DISABLE_STORAGE_CACHE kill-switch overrides every mode.
 struct StoragePolicy {
   bool tapes = false;
   bool columns = false;
 };
 
 StoragePolicy ResolveStoragePolicy(const ExecOptions& options) {
-  if (StorageCacheDisabledByEnv()) return {};
   switch (options.storage_mode) {
     case StorageMode::kOff:
       return {};
@@ -96,17 +94,6 @@ StoragePolicy ApplyAccessHint(StoragePolicy base, AccessHint hint) {
       return {};
   }
   return base;
-}
-
-/// Whether scans under these options sample PathStats as they parse.
-bool StatsBuildEnabled(const ExecOptions& options) {
-  return StatsEnabled(options.stats_mode);
-}
-
-StatsConfig ResolveStatsConfig(const ExecOptions& options) {
-  StatsConfig cfg;
-  cfg.cache_dir = options.storage_cache_dir;
-  return cfg;
 }
 
 /// Serves one file's scan from a cached column: decodes each block's
@@ -610,7 +597,6 @@ struct ScanSetup {
   const PNode* node = nullptr;
   StoragePolicy storage;
   StorageConfig storage_cfg;
-  StatsConfig stats_cfg;
   std::string path;  // the projected path, keying columns and stats
   bool stats_build = false;
   bool lenient = false;
@@ -824,11 +810,9 @@ Result<Executor::PartitionSet> Executor::ExecDataScan(
   // access hint narrows, never widens, what the options allow (§15).
   setup.storage =
       ApplyAccessHint(ResolveStoragePolicy(options_), node.scan.access_hint);
-  setup.storage_cfg = {options_.storage_budget_bytes,
-                       options_.storage_cache_dir};
-  setup.stats_cfg = ResolveStatsConfig(options_);
+  setup.storage_cfg = {options_.storage_cache_dir};
   setup.path = PathToString(node.scan.steps);
-  setup.stats_build = StatsBuildEnabled(options_);
+  setup.stats_build = StatsEnabled(options_.stats_mode);
   setup.lenient = options_.on_parse_error == ParseErrorPolicy::kSkipAndCount;
   setup.batch_mode = UseBatchMode();
   if (options_.use_threads) {
@@ -969,8 +953,9 @@ Result<Executor::PartitionSet> Executor::ExecDataScan(
     }
     if (!any) continue;
     merged.file_bytes = tasks[first].stats_sig.size;
-    StatsStore::Instance().Put(tasks[first].file->path(), setup.path, merged,
-                               tasks[first].stats_sig, setup.stats_cfg);
+    StorageManager::Instance().PutStats(tasks[first].file->path(), setup.path,
+                                        merged, tasks[first].stats_sig,
+                                        setup.storage_cfg);
     ++stats->stats_paths_built;
   }
 
@@ -1019,8 +1004,8 @@ Status Executor::PlanFile(const ScanSetup& setup, const JsonFile& file,
       if (!fresh.ok()) return false;
       m.stats_sig = *fresh;
     }
-    return StatsStore::Instance().Get(file.path(), setup.path,
-                                      setup.stats_cfg) == nullptr;
+    return StorageManager::Instance().GetStats(file.path(), setup.path,
+                                               setup.storage_cfg) == nullptr;
   };
   // Columnar read: the cheapest access path — no JSON bytes touched,
   // just the shredded values for this projected path. Strict scans

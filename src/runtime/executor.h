@@ -228,19 +228,18 @@ struct ExecOptions {
   size_t batch_size = TupleBatch::kDefaultCapacity;
   /// Warm storage tier (DESIGN.md §14): which cache levels DATASCAN may
   /// use over path-backed collection files. kAuto enables tapes and
-  /// columns; JPAR_DISABLE_STORAGE_CACHE forces everything cold.
+  /// columns; kOff keeps every scan cold.
   StorageMode storage_mode = StorageMode::kAuto;
-  /// Directory for tape/column sidecar files; empty = next to the data
-  /// files. Applied to the process-global StorageManager (last writer
-  /// wins, like the cache itself).
+  /// Directory for this query's tape, column and stats sidecars; empty
+  /// = next to the data files. Resolved per call: it never changes
+  /// where other queries' sidecars go. The cache's memory budget is
+  /// process-wide (StorageManager::kDefaultBudgetBytes), not a query
+  /// option.
   std::string storage_cache_dir;
-  /// In-memory budget for the storage cache; 0 keeps the manager's
-  /// current budget (256 MiB default). LRU-evicted per file entry.
-  uint64_t storage_budget_bytes = 0;
   /// Sampled-statistics policy (DESIGN.md §15): whether scans build
   /// PathStats samples and whether compilation consults them. kAuto
-  /// builds and consumes confident samples; JPAR_DISABLE_STATS forces
-  /// everything off.
+  /// builds and consumes confident samples; kOff neither builds nor
+  /// reads them.
   StatsMode stats_mode = StatsMode::kAuto;
 };
 

@@ -153,7 +153,7 @@ Result<Tuple> RunSubplan(const SubplanDesc& subplan, const Tuple& seed,
 /// Cost-model advice on which warm-storage path a DATASCAN should
 /// prefer (DESIGN.md §15). A hint only ever *narrows* the set of paths
 /// the resolved StorageMode allows — it can never re-enable a level the
-/// user (or a kill-switch) turned off — and every narrowing is
+/// user turned off — and every narrowing is
 /// answer-preserving, so a plan compiled against different stats on a
 /// distributed worker still returns identical bytes.
 enum class AccessHint : uint8_t {

@@ -96,7 +96,7 @@ enum class CounterMerge : uint8_t {
   X(uint64_t, columns_read, kSum)                                             \
   X(uint64_t, blocks_pruned, kSum)                                            \
   /* Sampled statistics (DESIGN.md §15): (file, path) samples this            \
-     query contributed to the StatsStore; 0 when stats are off or             \
+     query contributed to the per-file cache; 0 when stats are off or         \
      every sample was already fresh. */                                       \
   X(uint64_t, stats_paths_built, kSum)                                        \
   /* Failure recovery (DESIGN.md §12); all 0 when no worker was lost:         \

@@ -3,8 +3,7 @@
 namespace jpar {
 
 std::string PlanCache::Key(std::string_view query, const RuleOptions& rules,
-                           const ExecOptions& exec, uint64_t storage_epoch,
-                           uint64_t stats_epoch) {
+                           const ExecOptions& exec, uint64_t cache_epoch) {
   std::string key;
   key.reserve(query.size() + 64);
   key.append(query);
@@ -31,22 +30,19 @@ std::string PlanCache::Key(std::string_view query, const RuleOptions& rules,
   key += std::to_string(static_cast<int>(exec.expr_mode));
   key.push_back(',');
   key += std::to_string(exec.batch_size);
-  // The storage mode picks the access path family and the epoch pins
-  // the columnar-cache generation the plan was selected against.
+  // The storage mode picks the access path family and the stats mode
+  // whether the cost model runs. The cache epoch pins the generation of
+  // columns and sampled stats the plan was selected and costed against
+  // (DESIGN.md §14, §15): fresh columns or samples and invalidations
+  // advance it, so plans recompile rather than replay choices made
+  // against a stale cache. Eventually consistent — the key is computed
+  // before compilation, so what a run learns takes effect on the next.
   key.push_back(',');
   key += std::to_string(static_cast<int>(exec.storage_mode));
-  key.push_back('@');
-  key += std::to_string(storage_epoch);
-  // The stats mode and StatsStore epoch pin the sampled-statistics
-  // generation (DESIGN.md §15): fresh samples or invalidations advance
-  // the epoch, so cost-annotated plans recompile rather than replay
-  // choices made against stale estimates. Eventually consistent — the
-  // key is computed before compilation, so samples built *during* a
-  // run take effect on the next one.
   key.push_back(',');
   key += std::to_string(static_cast<int>(exec.stats_mode));
   key.push_back('@');
-  key += std::to_string(stats_epoch);
+  key += std::to_string(cache_epoch);
   return key;
 }
 

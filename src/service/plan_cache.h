@@ -45,16 +45,14 @@ class PlanCache {
   /// participates because two_step_aggregation (mirrored into the
   /// physical translation) and partitioning feed plan-shape decisions;
   /// fingerprinting all of it keeps the key trivially correct as the
-  /// planner grows more option-sensitive. `storage_epoch` is the
-  /// StorageManager epoch (DESIGN.md §14): it advances whenever cached
-  /// columns are installed or invalidated, so a plan compiled against
-  /// one cache generation is never replayed against another.
-  /// `stats_epoch` does the same for the StatsStore (DESIGN.md §15):
-  /// it advances when samples are built, dropped stale, or cleared, so
-  /// cost-model plan choices are re-derived against current estimates.
+  /// planner grows more option-sensitive. `cache_epoch` is the
+  /// StorageManager epoch (DESIGN.md §14, §15): it advances whenever
+  /// cached columns or sampled stats are installed, dropped stale, or
+  /// cleared, so a plan compiled against one cache generation — its
+  /// access paths and its cost-model choices — is never replayed
+  /// against another.
   static std::string Key(std::string_view query, const RuleOptions& rules,
-                         const ExecOptions& exec, uint64_t storage_epoch = 0,
-                         uint64_t stats_epoch = 0);
+                         const ExecOptions& exec, uint64_t cache_epoch = 0);
 
   /// Returns the cached plan and promotes it to most-recently-used, or
   /// nullptr on a miss. Counts a hit or miss.

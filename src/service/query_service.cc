@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "stats/collection_stats.h"
 #include "storage/storage_tier.h"
 
 namespace jpar {
@@ -188,8 +187,7 @@ QueryTicket QueryService::SubmitInternal(Session* session, std::string query,
   }
 
   std::string key = PlanCache::Key(query, opts.rules, opts.exec,
-                                   StorageManager::Instance().epoch(),
-                                   StatsStore::Instance().epoch());
+                                   StorageManager::Instance().epoch());
   // The session is kept alive for the query's whole lifetime even if
   // the client drops its handle right after Submit().
   std::shared_ptr<Session> self = session->shared_from_this();

@@ -5,7 +5,8 @@
 
 namespace jpar {
 
-CostModel::CostModel(const Catalog* catalog, StatsMode mode, StatsConfig cfg)
+CostModel::CostModel(const Catalog* catalog, StatsMode mode,
+                     StorageConfig cfg)
     : catalog_(catalog),
       mode_(mode),
       cfg_(std::move(cfg)),
@@ -27,7 +28,7 @@ ScanEstimate CostModel::EstimateScan(
     double covered_bytes = 0;
     double covered_rows = 0;
     auto merged = std::make_shared<PathStats>();
-    StatsStore& store = StatsStore::Instance();
+    StorageManager& store = StorageManager::Instance();
     for (const JsonFile& file : (*coll)->files) {
       auto size = file.SizeBytes();
       const double file_bytes = size.ok() ? static_cast<double>(*size) : 0;
@@ -35,7 +36,7 @@ ScanEstimate CostModel::EstimateScan(
       if (file.path().empty() || file.is_binary() || file.in_memory()) {
         continue;
       }
-      auto stats = store.Get(file.path(), path_str, cfg_);
+      auto stats = store.GetStats(file.path(), path_str, cfg_);
       if (stats == nullptr) continue;
       merged->MergeFrom(*stats);
       covered_bytes += file_bytes;

@@ -15,7 +15,7 @@
 namespace jpar {
 
 /// What the planner believes about one (collection, projected path)
-/// scan, merged across the collection's files from the StatsStore.
+/// scan, merged across the collection's files from the per-file cache.
 struct ScanEstimate {
   double rows = -1;   // estimated items emitted (-1 = unknown)
   double bytes = -1;  // total collection bytes (-1 = unknown)
@@ -26,18 +26,19 @@ struct ScanEstimate {
   std::shared_ptr<const PathStats> merged;
 };
 
-/// Read-side costing over the StatsStore (DESIGN.md §15). Constructed
-/// per compilation (Engine::Compile) from the session's StatsMode and
-/// handed to the rewriter and physical translator; every estimate is
-/// advisory — consumers may only toggle answer-preserving physical
-/// annotations, never plan structure, because distributed workers
-/// recompile fragments against their own (possibly divergent) stats.
+/// Read-side costing over the cached PathStats (DESIGN.md §15).
+/// Constructed per compilation (Engine::Compile) from the session's
+/// StatsMode and handed to the rewriter and physical translator; every
+/// estimate is advisory — consumers may only toggle answer-preserving
+/// physical annotations, never plan structure, because distributed
+/// workers recompile fragments against their own (possibly divergent)
+/// stats.
 class CostModel {
  public:
-  CostModel(const Catalog* catalog, StatsMode mode, StatsConfig cfg);
+  CostModel(const Catalog* catalog, StatsMode mode, StorageConfig cfg);
 
-  /// False when the mode or the JPAR_DISABLE_STATS kill-switch turns
-  /// stats off — estimates then return the unknown defaults.
+  /// False when the mode turns stats off — estimates then return the
+  /// unknown defaults.
   bool enabled() const { return enabled_; }
   bool forced() const { return mode_ == StatsMode::kForced; }
 
@@ -83,7 +84,7 @@ class CostModel {
  private:
   const Catalog* catalog_;
   StatsMode mode_;
-  StatsConfig cfg_;
+  StorageConfig cfg_;
   bool enabled_;
   mutable std::mutex mu_;
   mutable std::map<std::string, ScanEstimate> cache_;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "common/byte_codec.h"
 #include "json/binary_serde.h"
 
 namespace jpar {
@@ -13,49 +14,6 @@ namespace {
 // double; beyond it the zone map's min/max could round across the
 // predicate constant and prune a matching block.
 constexpr double kMaxExactInt = 9007199254740992.0;  // 2^53
-
-void PutU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutF64(double v, std::string* out) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  PutU64(bits, out);
-}
-
-bool GetU32(std::string_view data, size_t* pos, uint32_t* v) {
-  if (data.size() - *pos < 4) return false;
-  *v = 0;
-  for (int i = 0; i < 4; ++i) {
-    *v |= static_cast<uint32_t>(static_cast<unsigned char>(data[*pos + i]))
-          << (8 * i);
-  }
-  *pos += 4;
-  return true;
-}
-
-bool GetU64(std::string_view data, size_t* pos, uint64_t* v) {
-  if (data.size() - *pos < 8) return false;
-  *v = 0;
-  for (int i = 0; i < 8; ++i) {
-    *v |= static_cast<uint64_t>(static_cast<unsigned char>(data[*pos + i]))
-          << (8 * i);
-  }
-  *pos += 8;
-  return true;
-}
-
-bool GetF64(std::string_view data, size_t* pos, double* v) {
-  uint64_t bits;
-  if (!GetU64(data, pos, &bits)) return false;
-  std::memcpy(v, &bits, 8);
-  return true;
-}
 
 uint64_t BlockBytes(const ColumnBlock& b) {
   return sizeof(ColumnBlock) + b.values.size() + b.null_bitmap.size() * 8;

@@ -1,7 +1,8 @@
 // Cost-model unit suite (DESIGN.md §15): the PathStats sampler (exact
 // counts, stride sampling, HLL distinct sketch, order-independent
-// merge), the .jstats payload serde, the StatsStore lifecycle
-// (freshness, epochs, sidecar rewarm, eviction of stale files), the
+// merge), the .jstats payload serde, the stats lifecycle in the
+// per-file cache (freshness, epochs, sidecar rewarm, eviction of stale
+// files), the
 // CostModel estimators (monotone selectivity, clamped hints), and the
 // compile-time plan annotations they drive — scan access hints, the
 // hash-join build side, spill-fanout and morsel-size hints — all of
@@ -245,26 +246,25 @@ TEST(PathStatsSerdeTest, SemanticallyInvalidPayloadsAreRejected) {
 }
 
 // ---------------------------------------------------------------------
-// StatsStore: freshness, epochs, sidecar rewarm
+// Stats in the per-file cache: freshness, epochs, sidecar rewarm
 
 TEST(StatsStoreTest, PutGetEpochAndStaleness) {
-  if (StatsDisabledByEnv()) GTEST_SKIP() << "JPAR_DISABLE_STATS set";
-  StatsStore& store = StatsStore::Instance();
+  StorageManager& store = StorageManager::Instance();
   store.Clear();
-  StatsConfig cfg;
+  const StorageConfig cfg;
   TempCollectionDir dir;
   std::string path = dir.Write("a.ndjson", Ndjson(40, 0));
   auto sig = StatFileSignature(path);
   ASSERT_TRUE(sig.ok());
 
-  EXPECT_EQ(store.Get(path, "$", cfg), nullptr);
+  EXPECT_EQ(store.GetStats(path, "$", cfg), nullptr);
   const uint64_t epoch0 = store.epoch();
 
   PathStats s = SamplePathStats();
-  store.Put(path, "$", s, *sig, cfg);
+  store.PutStats(path, "$", s, *sig, cfg);
   EXPECT_GT(store.epoch(), epoch0) << "learning stats must bump the epoch";
 
-  auto got = store.Get(path, "$", cfg);
+  auto got = store.GetStats(path, "$", cfg);
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->rows, s.rows);
 
@@ -272,15 +272,14 @@ TEST(StatsStoreTest, PutGetEpochAndStaleness) {
   dir.Write("a.ndjson", Ndjson(60, 0));
   TempCollectionDir::BumpMtime(path, 3);
   const uint64_t epoch1 = store.epoch();
-  EXPECT_EQ(store.Get(path, "$", cfg), nullptr);
+  EXPECT_EQ(store.GetStats(path, "$", cfg), nullptr);
   EXPECT_GT(store.epoch(), epoch1) << "dropping stale stats bumps the epoch";
 }
 
 TEST(StatsStoreTest, PutAgainstDeadSignatureIsDropped) {
-  if (StatsDisabledByEnv()) GTEST_SKIP() << "JPAR_DISABLE_STATS set";
-  StatsStore& store = StatsStore::Instance();
+  StorageManager& store = StorageManager::Instance();
   store.Clear();
-  StatsConfig cfg;
+  const StorageConfig cfg;
   TempCollectionDir dir;
   std::string path = dir.Write("b.ndjson", Ndjson(40, 0));
   auto sig = StatFileSignature(path);
@@ -290,56 +289,56 @@ TEST(StatsStoreTest, PutAgainstDeadSignatureIsDropped) {
   // built for bytes that no longer exist and must not be published.
   dir.Write("b.ndjson", Ndjson(90, 7));
   TempCollectionDir::BumpMtime(path, 3);
-  store.Put(path, "$", SamplePathStats(), *sig, cfg);
-  EXPECT_EQ(store.Get(path, "$", cfg), nullptr);
+  store.PutStats(path, "$", SamplePathStats(), *sig, cfg);
+  EXPECT_EQ(store.GetStats(path, "$", cfg), nullptr);
 }
 
 TEST(StatsStoreTest, SidecarRewarmsAfterClear) {
-  if (StatsDisabledByEnv()) GTEST_SKIP() << "JPAR_DISABLE_STATS set";
-  StatsStore& store = StatsStore::Instance();
+  StorageManager& store = StorageManager::Instance();
   store.Clear();
-  StatsConfig cfg;
+  const StorageConfig cfg;
   TempCollectionDir dir;
   std::string path = dir.Write("c.ndjson", Ndjson(40, 0));
   auto sig = StatFileSignature(path);
   ASSERT_TRUE(sig.ok());
 
   PathStats s = SamplePathStats();
-  store.Put(path, "$", s, *sig, cfg);
-  std::string sidecar = store.SidecarPathFor(path, "$", cfg);
+  store.PutStats(path, "$", s, *sig, cfg);
+  std::string sidecar =
+      StorageManager::SidecarPath(SidecarKind::kStats, path, "$", cfg);
   struct stat st;
   ASSERT_EQ(::stat(sidecar.c_str(), &st), 0)
       << "Put must write the sidecar " << sidecar;
 
   store.Clear();  // simulated process restart: memory gone, disk stays
-  auto got = store.Get(path, "$", cfg);
+  auto got = store.GetStats(path, "$", cfg);
   ASSERT_NE(got, nullptr) << "sidecar must rewarm the store";
   EXPECT_EQ(got->rows, s.rows);
   EXPECT_EQ(got->hll, s.hll);
 }
 
 TEST(StatsStoreTest, TotalsTrackEntries) {
-  if (StatsDisabledByEnv()) GTEST_SKIP() << "JPAR_DISABLE_STATS set";
-  StatsStore& store = StatsStore::Instance();
+  StorageManager& store = StorageManager::Instance();
   store.Clear();
-  StatsConfig cfg;
+  const StorageConfig cfg;
   TempCollectionDir dir;
   std::string p1 = dir.Write("t1.ndjson", Ndjson(10, 0));
   std::string p2 = dir.Write("t2.ndjson", Ndjson(10, 0));
   auto s1 = StatFileSignature(p1);
   auto s2 = StatFileSignature(p2);
   ASSERT_TRUE(s1.ok() && s2.ok());
-  store.Put(p1, "$", SamplePathStats(), *s1, cfg);
-  store.Put(p1, "$.k", SamplePathStats(), *s1, cfg);
-  store.Put(p2, "$", SamplePathStats(), *s2, cfg);
-  StatsStore::Totals t = store.totals();
+  store.PutStats(p1, "$", SamplePathStats(), *s1, cfg);
+  store.PutStats(p1, "$.k", SamplePathStats(), *s1, cfg);
+  store.PutStats(p2, "$", SamplePathStats(), *s2, cfg);
+  StorageManager::Totals t = store.totals();
   EXPECT_EQ(t.files, 2u);
-  EXPECT_EQ(t.paths, 3u);
+  EXPECT_EQ(t.bytes, 3 * sizeof(PathStats))
+      << "stats count against the cache's byte budget";
   store.Clear();
 }
 
 // ---------------------------------------------------------------------
-// ExecOptions validation and the kill-switch plumbing
+// ExecOptions validation and mode plumbing
 
 TEST(StatsModeTest, ValidateExecOptionsRejectsUnknownStatsMode) {
   ExecOptions exec;
@@ -350,13 +349,8 @@ TEST(StatsModeTest, ValidateExecOptionsRejectsUnknownStatsMode) {
 }
 
 TEST(StatsModeTest, ModesEnableAsDocumented) {
-  if (StatsDisabledByEnv()) {
-    EXPECT_FALSE(StatsEnabled(StatsMode::kAuto));
-    EXPECT_FALSE(StatsEnabled(StatsMode::kForced));
-  } else {
-    EXPECT_TRUE(StatsEnabled(StatsMode::kAuto));
-    EXPECT_TRUE(StatsEnabled(StatsMode::kForced));
-  }
+  EXPECT_TRUE(StatsEnabled(StatsMode::kAuto));
+  EXPECT_TRUE(StatsEnabled(StatsMode::kForced));
   EXPECT_FALSE(StatsEnabled(StatsMode::kOff));
 }
 
@@ -382,13 +376,12 @@ ScanEstimate TrustedEstimate(double min_v, double max_v, int distinct) {
 class CostModelEstimatorTest : public ::testing::Test {
  protected:
   CostModelEstimatorTest()
-      : model_(&catalog_, StatsMode::kForced, StatsConfig{}) {}
+      : model_(&catalog_, StatsMode::kForced, StorageConfig{}) {}
   Catalog catalog_;
   CostModel model_;
 };
 
 TEST_F(CostModelEstimatorTest, RangeSelectivityIsMonotoneInTheValue) {
-  if (StatsDisabledByEnv()) GTEST_SKIP() << "JPAR_DISABLE_STATS set";
   ScanEstimate e = TrustedEstimate(0, 1000, 200);
   double prev_lt = -1, prev_gt = 2;
   for (double v : {50.0, 250.0, 500.0, 750.0, 950.0}) {
@@ -404,7 +397,6 @@ TEST_F(CostModelEstimatorTest, RangeSelectivityIsMonotoneInTheValue) {
 }
 
 TEST_F(CostModelEstimatorTest, EqSelectivityShrinksWithDistincts) {
-  if (StatsDisabledByEnv()) GTEST_SKIP() << "JPAR_DISABLE_STATS set";
   double few = model_.EstimateSelectivity(TrustedEstimate(0, 1000, 10),
                                           ZoneCompare::kEq, 500);
   double many = model_.EstimateSelectivity(TrustedEstimate(0, 1000, 2000),
@@ -426,7 +418,6 @@ TEST_F(CostModelEstimatorTest, UntrustedEstimatesFallBackToDefault) {
 }
 
 TEST_F(CostModelEstimatorTest, NonNumericSampleMakesNumericPredicateRare) {
-  if (StatsDisabledByEnv()) GTEST_SKIP() << "JPAR_DISABLE_STATS set";
   ScanEstimate e;
   e.from_stats = true;
   e.confident = true;
@@ -438,7 +429,6 @@ TEST_F(CostModelEstimatorTest, NonNumericSampleMakesNumericPredicateRare) {
 }
 
 TEST_F(CostModelEstimatorTest, HintsAreMonotoneAndClamped) {
-  if (StatsDisabledByEnv()) GTEST_SKIP() << "JPAR_DISABLE_STATS set";
   EXPECT_EQ(model_.SpillFanoutHint(-1), 0);
   EXPECT_EQ(model_.SpillFanoutHint(10), 2);          // floor
   EXPECT_EQ(model_.SpillFanoutHint(1e12), 64);       // ceiling
@@ -456,7 +446,7 @@ TEST_F(CostModelEstimatorTest, HintsAreMonotoneAndClamped) {
 
 TEST(CostModelTest, DisabledModelEstimatesNothing) {
   Catalog catalog;
-  CostModel off(&catalog, StatsMode::kOff, StatsConfig{});
+  CostModel off(&catalog, StatsMode::kOff, StorageConfig{});
   EXPECT_FALSE(off.enabled());
   ScanEstimate e = off.EstimateScan("/missing", {});
   EXPECT_FALSE(e.from_stats);
@@ -464,7 +454,7 @@ TEST(CostModelTest, DisabledModelEstimatesNothing) {
   EXPECT_EQ(off.SpillFanoutHint(1e6), 0);
   EXPECT_EQ(off.MorselBytesHint(1e6), 0u);
 
-  CostModel null_catalog(nullptr, StatsMode::kForced, StatsConfig{});
+  CostModel null_catalog(nullptr, StatsMode::kForced, StorageConfig{});
   EXPECT_FALSE(null_catalog.enabled());
 }
 
@@ -474,6 +464,7 @@ TEST(CostModelTest, DisabledModelEstimatesNothing) {
 struct PlanProbe {
   Engine engine;
   TempCollectionDir dir;
+  StorageMode storage_mode = StorageMode::kAuto;
 
   void RegisterNdjson(const std::string& coll, const std::string& stem,
                       int files, int records, int base) {
@@ -486,12 +477,13 @@ struct PlanProbe {
     engine.catalog()->RegisterCollection(coll, std::move(c));
   }
 
-  /// Runs `query` once with stats building on so the StatsStore learns
-  /// the scanned paths.
+  /// Runs `query` once with stats building on so the cache learns the
+  /// scanned paths. Stats build with or without the storage tier.
   void WarmStats(const std::string& query) {
     ExecOptions exec;
     exec.partitions = 2;
     exec.stats_mode = StatsMode::kAuto;
+    exec.storage_mode = storage_mode;
     auto compiled = engine.Compile(query, RuleOptions::All());
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
     auto out = engine.Execute(*compiled, exec);
@@ -500,144 +492,161 @@ struct PlanProbe {
 };
 
 TEST(CostAnnotationTest, SelectiveZonePredicateRoutesToColumnar) {
-  if (StatsDisabledByEnv()) GTEST_SKIP() << "JPAR_DISABLE_STATS set";
-  StatsStore::Instance().Clear();
-  PlanProbe probe;
-  probe.RegisterNdjson("/vals", "vals_", 2, 2000, 0);
-  const char* scan_all = R"(for $v in collection("/vals")("v") return $v)";
-  probe.WarmStats(scan_all);
+  for (StorageMode storage : {StorageMode::kAuto, StorageMode::kOff}) {
+    SCOPED_TRACE(storage == StorageMode::kOff ? "storage off"
+                                              : "storage on");
+    StorageManager::Instance().Clear();
+    PlanProbe probe;
+    probe.storage_mode = storage;
+    probe.RegisterNdjson("/vals", "vals_", 2, 2000, 0);
+    const char* scan_all = R"(for $v in collection("/vals")("v") return $v)";
+    probe.WarmStats(scan_all);
 
-  // Values are 0..3999 uniform; `gt 3900` keeps ~2.5% of rows.
-  const char* selective = R"(
-    for $v in collection("/vals")("v")
-    where $v gt 3900
-    return $v)";
-  ExecOptions exec;
-  exec.stats_mode = StatsMode::kForced;
-  auto plan = probe.engine.Compile(selective, RuleOptions::All(), exec);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  std::string rendered = plan->physical.root->ToString();
-  EXPECT_NE(rendered.find("[access: columnar]"), std::string::npos)
-      << rendered;
-  EXPECT_GE(plan->physical.est_result_rows, 0);
-  EXPECT_FALSE(plan->physical.cost_choices.empty());
+    // Values are 0..3999 uniform; `gt 3900` keeps ~2.5% of rows.
+    const char* selective = R"(
+      for $v in collection("/vals")("v")
+      where $v gt 3900
+      return $v)";
+    ExecOptions exec;
+    exec.stats_mode = StatsMode::kForced;
+    auto plan = probe.engine.Compile(selective, RuleOptions::All(), exec);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    std::string rendered = plan->physical.root->ToString();
+    EXPECT_NE(rendered.find("[access: columnar]"), std::string::npos)
+        << rendered;
+    EXPECT_GE(plan->physical.est_result_rows, 0);
+    EXPECT_FALSE(plan->physical.cost_choices.empty());
 
-  // An unselective predicate must not claim the columnar hint.
-  const char* broad = R"(
-    for $v in collection("/vals")("v")
-    where $v gt 100
-    return $v)";
-  auto plan2 = probe.engine.Compile(broad, RuleOptions::All(), exec);
-  ASSERT_TRUE(plan2.ok()) << plan2.status().ToString();
-  EXPECT_EQ(plan2->physical.root->ToString().find("[access: columnar]"),
-            std::string::npos);
+    // An unselective predicate must not claim the columnar hint.
+    const char* broad = R"(
+      for $v in collection("/vals")("v")
+      where $v gt 100
+      return $v)";
+    auto plan2 = probe.engine.Compile(broad, RuleOptions::All(), exec);
+    ASSERT_TRUE(plan2.ok()) << plan2.status().ToString();
+    EXPECT_EQ(plan2->physical.root->ToString().find("[access: columnar]"),
+              std::string::npos);
 
-  // Stats off: no annotations at all, the historical plan rendering.
-  ExecOptions off = exec;
-  off.stats_mode = StatsMode::kOff;
-  auto plan3 = probe.engine.Compile(selective, RuleOptions::All(), off);
-  ASSERT_TRUE(plan3.ok());
-  EXPECT_EQ(plan3->physical.root->ToString().find("[access:"),
-            std::string::npos);
-  EXPECT_EQ(plan3->physical.root->ToString().find("[est-rows:"),
-            std::string::npos);
-  EXPECT_TRUE(plan3->physical.cost_choices.empty());
-  EXPECT_LT(plan3->physical.est_result_rows, 0);
+    // Stats off: no annotations at all, the historical plan rendering.
+    ExecOptions off = exec;
+    off.stats_mode = StatsMode::kOff;
+    auto plan3 = probe.engine.Compile(selective, RuleOptions::All(), off);
+    ASSERT_TRUE(plan3.ok());
+    EXPECT_EQ(plan3->physical.root->ToString().find("[access:"),
+              std::string::npos);
+    EXPECT_EQ(plan3->physical.root->ToString().find("[est-rows:"),
+              std::string::npos);
+    EXPECT_TRUE(plan3->physical.cost_choices.empty());
+    EXPECT_LT(plan3->physical.est_result_rows, 0);
+  }
 }
 
 TEST(CostAnnotationTest, SkewedJoinBuildsOnTheSmallSide) {
-  if (StatsDisabledByEnv()) GTEST_SKIP() << "JPAR_DISABLE_STATS set";
-  StatsStore::Instance().Clear();
-  PlanProbe probe;
-  probe.RegisterNdjson("/small", "small_", 1, 40, 0);
-  probe.RegisterNdjson("/big", "big_", 2, 3000, 0);
-  // Warm with whole-document scans — the join below also scans whole
-  // documents, and stats are keyed by (file, projected path), so the
-  // warm shape must match the probe shape to share the sample.
-  probe.WarmStats(R"(for $a in collection("/small") return $a)");
-  probe.WarmStats(R"(for $b in collection("/big") return $b)");
+  for (StorageMode storage : {StorageMode::kAuto, StorageMode::kOff}) {
+    SCOPED_TRACE(storage == StorageMode::kOff ? "storage off"
+                                              : "storage on");
+    StorageManager::Instance().Clear();
+    PlanProbe probe;
+    probe.storage_mode = storage;
+    probe.RegisterNdjson("/small", "small_", 1, 40, 0);
+    probe.RegisterNdjson("/big", "big_", 2, 3000, 0);
+    // Warm with whole-document scans — the join below also scans whole
+    // documents, and stats are keyed by (file, projected path), so the
+    // warm shape must match the probe shape to share the sample.
+    probe.WarmStats(R"(for $a in collection("/small") return $a)");
+    probe.WarmStats(R"(for $b in collection("/big") return $b)");
 
-  const char* join = R"(
-    for $a in collection("/small")
-    for $b in collection("/big")
-    where $a("k") eq $b("k")
-    return $a("v") + $b("v"))";
-  ExecOptions exec;
-  exec.stats_mode = StatsMode::kForced;
-  auto with_stats = probe.engine.Compile(join, RuleOptions::All(), exec);
-  ASSERT_TRUE(with_stats.ok()) << with_stats.status().ToString();
-  EXPECT_NE(with_stats->physical.root->ToString().find("[build: left]"),
-            std::string::npos)
-      << with_stats->physical.root->ToString();
+    const char* join = R"(
+      for $a in collection("/small")
+      for $b in collection("/big")
+      where $a("k") eq $b("k")
+      return $a("v") + $b("v"))";
+    ExecOptions exec;
+    exec.stats_mode = StatsMode::kForced;
+    auto with_stats = probe.engine.Compile(join, RuleOptions::All(), exec);
+    ASSERT_TRUE(with_stats.ok()) << with_stats.status().ToString();
+    EXPECT_NE(with_stats->physical.root->ToString().find("[build: left]"),
+              std::string::npos)
+        << with_stats->physical.root->ToString();
 
-  ExecOptions off = exec;
-  off.stats_mode = StatsMode::kOff;
-  auto without = probe.engine.Compile(join, RuleOptions::All(), off);
-  ASSERT_TRUE(without.ok());
-  EXPECT_EQ(without->physical.root->ToString().find("[build: left]"),
-            std::string::npos);
+    ExecOptions off = exec;
+    off.stats_mode = StatsMode::kOff;
+    auto without = probe.engine.Compile(join, RuleOptions::All(), off);
+    ASSERT_TRUE(without.ok());
+    EXPECT_EQ(without->physical.root->ToString().find("[build: left]"),
+              std::string::npos);
 
-  // The flipped build must reproduce the canonical emit order byte for
-  // byte — the core answer-preservation claim of the build-side lever.
-  for (ExecOptions run_exec : {exec, off}) {
-    run_exec.partitions = 2;
-    auto a = probe.engine.Execute(*with_stats, run_exec);
-    auto b = probe.engine.Execute(*without, run_exec);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    ASSERT_EQ(a->items.size(), b->items.size());
-    for (size_t i = 0; i < a->items.size(); ++i) {
-      EXPECT_EQ(a->items[i].ToJsonString(), b->items[i].ToJsonString()) << i;
+    // The flipped build must reproduce the canonical emit order byte for
+    // byte — the core answer-preservation claim of the build-side lever.
+    for (ExecOptions run_exec : {exec, off}) {
+      run_exec.partitions = 2;
+      run_exec.storage_mode = storage;
+      auto a = probe.engine.Execute(*with_stats, run_exec);
+      auto b = probe.engine.Execute(*without, run_exec);
+      ASSERT_TRUE(a.ok()) << a.status().ToString();
+      ASSERT_TRUE(b.ok()) << b.status().ToString();
+      ASSERT_EQ(a->items.size(), b->items.size());
+      for (size_t i = 0; i < a->items.size(); ++i) {
+        EXPECT_EQ(a->items[i].ToJsonString(), b->items[i].ToJsonString()) << i;
+      }
     }
   }
 }
 
 TEST(CostAnnotationTest, GroupByGetsAFanoutHintFromInputCardinality) {
-  if (StatsDisabledByEnv()) GTEST_SKIP() << "JPAR_DISABLE_STATS set";
-  StatsStore::Instance().Clear();
-  PlanProbe probe;
-  probe.RegisterNdjson("/groups", "groups_", 2, 30000, 0);
-  // Whole-document warm scan: matches the group-by's scan shape (see
-  // the join test above).
-  probe.WarmStats(R"(for $g in collection("/groups") return $g)");
+  for (StorageMode storage : {StorageMode::kAuto, StorageMode::kOff}) {
+    SCOPED_TRACE(storage == StorageMode::kOff ? "storage off"
+                                              : "storage on");
+    StorageManager::Instance().Clear();
+    PlanProbe probe;
+    probe.storage_mode = storage;
+    probe.RegisterNdjson("/groups", "groups_", 2, 30000, 0);
+    // Whole-document warm scan: matches the group-by's scan shape (see
+    // the join test above).
+    probe.WarmStats(R"(for $g in collection("/groups") return $g)");
 
-  const char* groupby = R"(
-    for $g in collection("/groups")
-    group by $k := $g("k")
-    return count($g))";
-  ExecOptions exec;
-  exec.stats_mode = StatsMode::kForced;
-  auto plan = probe.engine.Compile(groupby, RuleOptions::All(), exec);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  bool found = false;
-  for (const std::string& c : plan->physical.cost_choices) {
-    if (c.find("fanout-hint") != std::string::npos) found = true;
+    const char* groupby = R"(
+      for $g in collection("/groups")
+      group by $k := $g("k")
+      return count($g))";
+    ExecOptions exec;
+    exec.stats_mode = StatsMode::kForced;
+    auto plan = probe.engine.Compile(groupby, RuleOptions::All(), exec);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    bool found = false;
+    for (const std::string& c : plan->physical.cost_choices) {
+      if (c.find("fanout-hint") != std::string::npos) found = true;
+    }
+    EXPECT_TRUE(found) << "group-by over a trusted 60k-row scan should "
+                          "carry a spill-fanout hint";
   }
-  EXPECT_TRUE(found) << "group-by over a trusted 60k-row scan should "
-                        "carry a spill-fanout hint";
 }
 
 TEST(CostAnnotationTest, MorselHintAnnotatesTrustedScans) {
-  if (StatsDisabledByEnv()) GTEST_SKIP() << "JPAR_DISABLE_STATS set";
-  StatsStore::Instance().Clear();
-  PlanProbe probe;
-  probe.RegisterNdjson("/m", "m_", 1, 500, 0);
-  const char* q = R"(for $v in collection("/m")("v") return $v)";
-  probe.WarmStats(q);
-  ExecOptions exec;
-  exec.stats_mode = StatsMode::kForced;
-  auto plan = probe.engine.Compile(q, RuleOptions::All(), exec);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  bool scan_choice = false;
-  for (const std::string& c : plan->physical.cost_choices) {
-    if (c.find("scan /m") != std::string::npos &&
-        c.find("morsel-hint") != std::string::npos) {
-      scan_choice = true;
+  for (StorageMode storage : {StorageMode::kAuto, StorageMode::kOff}) {
+    SCOPED_TRACE(storage == StorageMode::kOff ? "storage off"
+                                              : "storage on");
+    StorageManager::Instance().Clear();
+    PlanProbe probe;
+    probe.storage_mode = storage;
+    probe.RegisterNdjson("/m", "m_", 1, 500, 0);
+    const char* q = R"(for $v in collection("/m")("v") return $v)";
+    probe.WarmStats(q);
+    ExecOptions exec;
+    exec.stats_mode = StatsMode::kForced;
+    auto plan = probe.engine.Compile(q, RuleOptions::All(), exec);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    bool scan_choice = false;
+    for (const std::string& c : plan->physical.cost_choices) {
+      if (c.find("scan /m") != std::string::npos &&
+          c.find("morsel-hint") != std::string::npos) {
+        scan_choice = true;
+      }
     }
+    EXPECT_TRUE(scan_choice) << "trusted scan should record its choice";
+    std::string rendered = plan->physical.root->ToString();
+    EXPECT_NE(rendered.find("[est-rows:"), std::string::npos) << rendered;
   }
-  EXPECT_TRUE(scan_choice) << "trusted scan should record its choice";
-  std::string rendered = plan->physical.root->ToString();
-  EXPECT_NE(rendered.find("[est-rows:"), std::string::npos) << rendered;
 }
 
 }  // namespace

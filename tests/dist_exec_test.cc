@@ -346,48 +346,53 @@ TEST(DistExecTest, StatsOnDistributedMatchesStatsOffInProcess) {
     disk.files.push_back(JsonFile::FromPath(path));
   }
 
-  for (int workers : {2, 4}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    StatsStore::Instance().Clear();
+  // Stats build with or without the storage tier: run both ways.
+  for (StorageMode storage : {StorageMode::kAuto, StorageMode::kOff}) {
+    for (int workers : {2, 4}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) + ", storage " +
+                   (storage == StorageMode::kOff ? "off" : "on"));
+      StorageManager::Instance().Clear();
 
-    EngineOptions options;
-    options.rules = RuleOptions::All();
-    options.exec.partitions = workers;
-    Engine engine(options);
-    engine.catalog()->RegisterCollection("/sensors", disk);
+      EngineOptions options;
+      options.rules = RuleOptions::All();
+      options.exec.partitions = workers;
+      options.exec.storage_mode = storage;
+      Engine engine(options);
+      engine.catalog()->RegisterCollection("/sensors", disk);
 
-    ExecOptions off_exec = options.exec;
-    off_exec.stats_mode = StatsMode::kOff;
+      ExecOptions off_exec = options.exec;
+      off_exec.stats_mode = StatsMode::kOff;
 
-    Cluster cluster(MakeDist(workers));
-    for (const char* query : kAllQueries) {
-      SCOPED_TRACE(query);
-      auto off_compiled = engine.Compile(query, options.rules, off_exec);
-      ASSERT_TRUE(off_compiled.ok()) << off_compiled.status().ToString();
-      auto off_local = engine.Execute(*off_compiled, off_exec);
-      ASSERT_TRUE(off_local.ok()) << off_local.status().ToString();
+      Cluster cluster(MakeDist(workers));
+      for (const char* query : kAllQueries) {
+        SCOPED_TRACE(query);
+        auto off_compiled = engine.Compile(query, options.rules, off_exec);
+        ASSERT_TRUE(off_compiled.ok()) << off_compiled.status().ToString();
+        auto off_local = engine.Execute(*off_compiled, off_exec);
+        ASSERT_TRUE(off_local.ok()) << off_local.status().ToString();
 
-      for (StatsMode mode : {StatsMode::kAuto, StatsMode::kForced}) {
-        ExecOptions on_exec = options.exec;
-        on_exec.stats_mode = mode;
-        // An in-process warm-up builds the sidecars the workers will
-        // load; the second compile then actually costs from them.
-        auto warm = engine.Compile(query, options.rules, on_exec);
-        ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-        ASSERT_TRUE(engine.Execute(*warm, on_exec).ok());
+        for (StatsMode mode : {StatsMode::kAuto, StatsMode::kForced}) {
+          ExecOptions on_exec = options.exec;
+          on_exec.stats_mode = mode;
+          // An in-process warm-up builds the sidecars the workers will
+          // load; the second compile then actually costs from them.
+          auto warm = engine.Compile(query, options.rules, on_exec);
+          ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+          ASSERT_TRUE(engine.Execute(*warm, on_exec).ok());
 
-        auto on_compiled = engine.Compile(query, options.rules, on_exec);
-        ASSERT_TRUE(on_compiled.ok()) << on_compiled.status().ToString();
-        ASSERT_TRUE(Cluster::CanDistribute(on_compiled->physical));
-        auto dist = cluster.Run(query, options.rules, on_exec, *on_compiled,
-                                *engine.catalog(), nullptr);
-        ASSERT_TRUE(dist.ok()) << dist.status().ToString();
-        EXPECT_EQ(Rows(*dist), Rows(*off_local))
-            << "stats mode " << static_cast<int>(mode);
-        EXPECT_EQ(dist->stats.dist_workers, static_cast<uint64_t>(workers));
+          auto on_compiled = engine.Compile(query, options.rules, on_exec);
+          ASSERT_TRUE(on_compiled.ok()) << on_compiled.status().ToString();
+          ASSERT_TRUE(Cluster::CanDistribute(on_compiled->physical));
+          auto dist = cluster.Run(query, options.rules, on_exec, *on_compiled,
+                                  *engine.catalog(), nullptr);
+          ASSERT_TRUE(dist.ok()) << dist.status().ToString();
+          EXPECT_EQ(Rows(*dist), Rows(*off_local))
+              << "stats mode " << static_cast<int>(mode);
+          EXPECT_EQ(dist->stats.dist_workers, static_cast<uint64_t>(workers));
+        }
       }
+      cluster.Stop();
     }
-    cluster.Stop();
   }
 
   if (DIR* d = ::opendir(dir.c_str())) {

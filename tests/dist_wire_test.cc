@@ -11,6 +11,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/checksum.h"
 #include "core/engine.h"
 #include "data/sensor_generator.h"
 #include "dist/dispatcher.h"
@@ -100,7 +101,6 @@ TEST(ProtocolTest, FragmentRequestRoundTrip) {
   req.exec.batch_size = 512;
   req.exec.storage_mode = StorageMode::kTape;
   req.exec.storage_cache_dir = "/tmp/jpar-cache";
-  req.exec.storage_budget_bytes = 64ull << 20;
   req.stage_id = 2;
   req.worker_id = 3;
   req.worker_count = 4;
@@ -129,7 +129,6 @@ TEST(ProtocolTest, FragmentRequestRoundTrip) {
   EXPECT_EQ(got->exec.batch_size, 512u);
   EXPECT_EQ(got->exec.storage_mode, StorageMode::kTape);
   EXPECT_EQ(got->exec.storage_cache_dir, "/tmp/jpar-cache");
-  EXPECT_EQ(got->exec.storage_budget_bytes, 64ull << 20);
   // Rules round-trip exactly: compare the canonical encodings.
   std::string a, b;
   EncodeRuleOptions(req.rules, &a);
@@ -375,7 +374,7 @@ TEST(WireTest, ChecksumMismatchRejected) {
   msg_bytes.push_back(static_cast<char>(MsgType::kInputFrame));
   uint32_t len = static_cast<uint32_t>(payload.size());
   msg_bytes.append(reinterpret_cast<const char*>(&len), 4);
-  uint32_t crc = WireCrc32(payload);
+  uint32_t crc = Crc32(payload);
   msg_bytes.append(reinterpret_cast<const char*>(&crc), 4);
   msg_bytes.append(corrupted);
   ASSERT_TRUE(pair->first.SendAll(msg_bytes.data(), msg_bytes.size()).ok());
@@ -400,11 +399,13 @@ TEST(WireTest, ChecksumMismatchRejected) {
 
 TEST(WireTest, Crc32MatchesKnownVectors) {
   // The standard CRC-32 (reflected, poly 0xEDB88320) check values.
-  EXPECT_EQ(WireCrc32(""), 0x00000000u);
-  EXPECT_EQ(WireCrc32("123456789"), 0xCBF43926u);
-  EXPECT_EQ(WireCrc32("a"), 0xE8B7BE43u);
+  EXPECT_EQ(Crc32(""), 0x00000000u);
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32("a"), 0xE8B7BE43u);
+  // Long enough for several eight-byte steps plus a tail.
+  EXPECT_EQ(Crc32("The quick brown fox jumps over the lazy dog"), 0x414FA339u);
   // Sensitive to every bit: flipping one payload bit changes the sum.
-  EXPECT_NE(WireCrc32(std::string("ab")), WireCrc32(std::string("ac")));
+  EXPECT_NE(Crc32(std::string("ab")), Crc32(std::string("ac")));
 }
 
 TEST(WireTest, CleanEofReturnsFalse) {

@@ -598,58 +598,71 @@ TEST(ExecutorTest, SequentialAndThreadedScansFailOnTheFirstBadFile) {
 }
 
 TEST(ExecutorTest, SequentialPathBackedScanMatchesThreadedStorageStats) {
-  // Two directories with the same files: the storage tier and the stats
-  // store key on the path, so each mode starts cold on its own copy.
+  // Two directories with the same files: the cache keys on the path, so
+  // each mode starts cold on its own copy. Runs with everything on,
+  // with the storage tier off and with stats off.
   namespace fs = std::filesystem;
   const fs::path root =
       fs::path(::testing::TempDir()) /
       ("jpar_seq_scan_" + std::to_string(::getpid()));
-  fs::remove_all(root);
-  auto make_catalog = [&](const std::string& name) {
-    fs::create_directories(root / name);
-    Catalog catalog;
-    Collection c;
-    for (int f = 0; f < 3; ++f) {
-      std::string text;
-      for (int r = 0; r < 20; ++r) {
-        text += "{\"v\":" + std::to_string(f * 100 + r) + "}\n";
-      }
-      fs::path path = root / name / ("part" + std::to_string(f) + ".json");
-      std::ofstream(path, std::ios::binary) << text;
-      c.files.push_back(JsonFile::FromPath(path.string()));
-    }
-    catalog.RegisterCollection("nd", std::move(c));
-    return catalog;
+  struct Modes {
+    StorageMode storage;
+    StatsMode stats;
   };
-  Catalog seq_catalog = make_catalog("seq");
-  Catalog threaded_catalog = make_catalog("threaded");
-  PhysicalPlan plan;
-  plan.root = ScanNd();
-  plan.result_column = 0;
-  ExecOptions seq;
-  seq.partitions = 2;
-  ExecOptions threaded = seq;
-  threaded.use_threads = true;
-  // Round 0 builds tapes, columns and stats samples; round 1 reads the
-  // columns back.
-  for (int round = 0; round < 2; ++round) {
-    auto want = Executor(&threaded_catalog, threaded).Run(plan);
-    auto got = Executor(&seq_catalog, seq).Run(plan);
-    ASSERT_TRUE(want.ok()) << want.status().ToString();
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ASSERT_EQ(got->items.size(), 60u);
-    EXPECT_EQ(got->items, want->items) << round;
-    EXPECT_EQ(got->stats.tape_builds, want->stats.tape_builds) << round;
-    EXPECT_EQ(got->stats.tape_hits, want->stats.tape_hits) << round;
-    EXPECT_EQ(got->stats.columns_read, want->stats.columns_read) << round;
-    EXPECT_EQ(got->stats.stats_paths_built, want->stats.stats_paths_built)
-        << round;
-    if (!StorageCacheDisabledByEnv()) {
-      EXPECT_EQ(got->stats.tape_builds, round == 0 ? 3u : 0u);
-      EXPECT_EQ(got->stats.columns_read, round == 0 ? 0u : 3u);
-    }
-    if (StatsEnabled(StatsMode::kAuto)) {
-      EXPECT_EQ(got->stats.stats_paths_built, round == 0 ? 3u : 0u);
+  for (Modes modes : {Modes{StorageMode::kAuto, StatsMode::kAuto},
+                      Modes{StorageMode::kOff, StatsMode::kAuto},
+                      Modes{StorageMode::kAuto, StatsMode::kOff}}) {
+    const bool storage = modes.storage != StorageMode::kOff;
+    const bool stats = modes.stats != StatsMode::kOff;
+    SCOPED_TRACE(std::string("storage ") + (storage ? "on" : "off") +
+                 ", stats " + (stats ? "on" : "off"));
+    // The paths repeat across iterations: start each one cold.
+    fs::remove_all(root);
+    StorageManager::Instance().Clear();
+    auto make_catalog = [&](const std::string& name) {
+      fs::create_directories(root / name);
+      Catalog catalog;
+      Collection c;
+      for (int f = 0; f < 3; ++f) {
+        std::string text;
+        for (int r = 0; r < 20; ++r) {
+          text += "{\"v\":" + std::to_string(f * 100 + r) + "}\n";
+        }
+        fs::path path = root / name / ("part" + std::to_string(f) + ".json");
+        std::ofstream(path, std::ios::binary) << text;
+        c.files.push_back(JsonFile::FromPath(path.string()));
+      }
+      catalog.RegisterCollection("nd", std::move(c));
+      return catalog;
+    };
+    Catalog seq_catalog = make_catalog("seq");
+    Catalog threaded_catalog = make_catalog("threaded");
+    PhysicalPlan plan;
+    plan.root = ScanNd();
+    plan.result_column = 0;
+    ExecOptions seq;
+    seq.partitions = 2;
+    seq.storage_mode = modes.storage;
+    seq.stats_mode = modes.stats;
+    ExecOptions threaded = seq;
+    threaded.use_threads = true;
+    // Round 0 builds tapes, columns and stats samples; round 1 reads the
+    // columns back.
+    for (int round = 0; round < 2; ++round) {
+      auto want = Executor(&threaded_catalog, threaded).Run(plan);
+      auto got = Executor(&seq_catalog, seq).Run(plan);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_EQ(got->items.size(), 60u);
+      EXPECT_EQ(got->items, want->items) << round;
+      EXPECT_EQ(got->stats.tape_builds, want->stats.tape_builds) << round;
+      EXPECT_EQ(got->stats.tape_hits, want->stats.tape_hits) << round;
+      EXPECT_EQ(got->stats.columns_read, want->stats.columns_read) << round;
+      EXPECT_EQ(got->stats.stats_paths_built, want->stats.stats_paths_built)
+          << round;
+      EXPECT_EQ(got->stats.tape_builds, storage && round == 0 ? 3u : 0u);
+      EXPECT_EQ(got->stats.columns_read, storage && round == 1 ? 3u : 0u);
+      EXPECT_EQ(got->stats.stats_paths_built, stats && round == 0 ? 3u : 0u);
     }
   }
   fs::remove_all(root);

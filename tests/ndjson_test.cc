@@ -89,10 +89,22 @@ TEST(NdjsonTest, DiskBackedFilesWork) {
   Collection c;
   c.files.push_back(JsonFile::FromPath(path));
   engine.catalog()->RegisterCollection("/disk", std::move(c));
-  auto out = engine.Run(R"(for $d in collection("/disk") return $d("v"))");
+  // Everything on, then the storage tier off, then sampled stats off.
+  ExecOptions on;
+  ExecOptions storage_off;
+  storage_off.storage_mode = StorageMode::kOff;
+  ExecOptions stats_off;
+  stats_off.stats_mode = StatsMode::kOff;
+  for (const ExecOptions& exec : {on, storage_off, stats_off}) {
+    auto compiled = engine.Compile(
+        R"(for $d in collection("/disk") return $d("v"))", RuleOptions::All(),
+        exec);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    auto out = engine.Execute(*compiled, exec);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out->items.size(), 3u);
+  }
   std::remove(path.c_str());
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_EQ(out->items.size(), 3u);
 }
 
 TEST(NdjsonTest, MissingDiskFileReportsIOError) {

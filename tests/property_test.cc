@@ -321,11 +321,9 @@ TEST_P(SeededTest, SpillMatchesInMemoryOnRandomGroupBys) {
 // and sub-minimum samples must never be trusted in kAuto.
 
 TEST_P(SeededTest, RangeSelectivityTracksTrueFractionOnUniformData) {
-  // The kill-switch disables even kForced, so accuracy is unmeasurable.
-  if (StatsDisabledByEnv()) GTEST_SKIP() << "JPAR_DISABLE_STATS set";
   Rng rng(GetParam() ^ 0xE57);
   Catalog catalog;
-  CostModel model(&catalog, StatsMode::kForced, StatsConfig{});
+  CostModel model(&catalog, StatsMode::kForced, StorageConfig{});
   for (int round = 0; round < 8; ++round) {
     const int n = 500 + rng.NextInt(4000);
     const int lo = rng.NextInt(1000) - 500;
@@ -365,10 +363,9 @@ TEST_P(SeededTest, RangeSelectivityTracksTrueFractionOnUniformData) {
 }
 
 TEST_P(SeededTest, EqSelectivityTracksUniformKeyCardinality) {
-  if (StatsDisabledByEnv()) GTEST_SKIP() << "JPAR_DISABLE_STATS set";
   Rng rng(GetParam() ^ 0xEC5);
   Catalog catalog;
-  CostModel model(&catalog, StatsMode::kForced, StatsConfig{});
+  CostModel model(&catalog, StatsMode::kForced, StorageConfig{});
   for (int round = 0; round < 6; ++round) {
     const int distinct = 2 + rng.NextInt(200);
     const int n = distinct * (10 + rng.NextInt(40));
@@ -401,7 +398,7 @@ TEST_P(SeededTest, EqSelectivityTracksUniformKeyCardinality) {
 TEST_P(SeededTest, TinySamplesAreNeverTrustedInAutoMode) {
   Rng rng(GetParam() ^ 0x71A);
   Catalog catalog;
-  CostModel model(&catalog, StatsMode::kAuto, StatsConfig{});
+  CostModel model(&catalog, StatsMode::kAuto, StorageConfig{});
   for (int round = 0; round < 10; ++round) {
     const int n =
         rng.NextInt(static_cast<int>(CostModel::kMinSampledRows));

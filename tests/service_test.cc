@@ -86,14 +86,16 @@ TEST(PlanCacheTest, KeyCoversQueryRulesAndExec) {
 TEST(PlanCacheTest, KeyCoversStorageAndStatsEpochsAndStatsMode) {
   RuleOptions rules;
   ExecOptions exec;
-  std::string base = PlanCache::Key("q", rules, exec, 0, 0);
-  // A plan costed against one stats (or storage) generation must not
-  // serve a session seeing another.
-  EXPECT_NE(base, PlanCache::Key("q", rules, exec, 1, 0));
-  EXPECT_NE(base, PlanCache::Key("q", rules, exec, 0, 1));
+  std::string base = PlanCache::Key("q", rules, exec, 0);
+  // A plan costed against one cache generation (columns and stats)
+  // must not serve a session seeing another.
+  EXPECT_NE(base, PlanCache::Key("q", rules, exec, 1));
   ExecOptions off = exec;
   off.stats_mode = StatsMode::kOff;
-  EXPECT_NE(base, PlanCache::Key("q", rules, off, 0, 0));
+  EXPECT_NE(base, PlanCache::Key("q", rules, off, 0));
+  ExecOptions cold = exec;
+  cold.storage_mode = StorageMode::kOff;
+  EXPECT_NE(base, PlanCache::Key("q", rules, cold, 0));
 }
 
 TEST(PlanCacheTest, LruHitMissEviction) {
@@ -314,86 +316,100 @@ TEST(QueryServiceTest, TotalsAreTheFoldOfCompletedQueries) {
 // append, truncate, and a same-size rewrite that only an mtime tick
 // distinguishes — and after each, the cache must recompile.
 TEST(QueryServiceTest, StatsEpochInvalidatesPlanCache) {
-  if (StatsDisabledByEnv()) GTEST_SKIP() << "JPAR_DISABLE_STATS is set";
-  StatsStore::Instance().Clear();
+  // Runs with everything on, with the storage tier off and with stats
+  // off: learned stats or learned columns each advance the epoch.
+  struct Modes {
+    StorageMode storage;
+    StatsMode stats;
+  };
+  for (Modes modes : {Modes{StorageMode::kAuto, StatsMode::kAuto},
+                      Modes{StorageMode::kOff, StatsMode::kAuto},
+                      Modes{StorageMode::kAuto, StatsMode::kOff}}) {
+    SCOPED_TRACE("storage " + std::to_string(static_cast<int>(modes.storage)) +
+                 ", stats " + std::to_string(static_cast<int>(modes.stats)));
+    StorageManager::Instance().Clear();
 
-  // One on-disk NDJSON file; all lines the same width so the
-  // same-size rewrite below is easy to produce.
-  std::string tmpl = ::testing::TempDir() + "/jpar_svc_stats_XXXXXX";
-  std::vector<char> buf(tmpl.begin(), tmpl.end());
-  buf.push_back('\0');
-  char* made = ::mkdtemp(buf.data());
-  ASSERT_NE(made, nullptr);
-  const std::string dir = made;
-  const std::string path = dir + "/rows.ndjson";
-  auto write_rows = [&](int base, int n) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    for (int i = 0; i < n; ++i) {
-      out << "{\"v\": " << (base + i) << "}\n";  // 3-digit values
+    // One on-disk NDJSON file; all lines the same width so the
+    // same-size rewrite below is easy to produce.
+    std::string tmpl = ::testing::TempDir() + "/jpar_svc_stats_XXXXXX";
+    std::vector<char> buf(tmpl.begin(), tmpl.end());
+    buf.push_back('\0');
+    char* made = ::mkdtemp(buf.data());
+    ASSERT_NE(made, nullptr);
+    const std::string dir = made;
+    const std::string path = dir + "/rows.ndjson";
+    auto write_rows = [&](int base, int n) {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      for (int i = 0; i < n; ++i) {
+        out << "{\"v\": " << (base + i) << "}\n";  // 3-digit values
+      }
+    };
+    int mtime_step = 0;
+    auto bump_mtime = [&](const std::string& p) {
+      struct utimbuf times;
+      times.actime = ::time(nullptr) + (++mtime_step) * 2;
+      times.modtime = times.actime;
+      ASSERT_EQ(::utime(p.c_str(), &times), 0) << p;
+    };
+    write_rows(/*base=*/110, /*n=*/64);
+
+    ServiceOptions options;
+    options.engine.exec.storage_mode = modes.storage;
+    options.engine.exec.stats_mode = modes.stats;
+    QueryService service(options);
+    Collection c;
+    c.files.push_back(JsonFile::FromPath(path));
+    service.catalog()->RegisterCollection("/disk", std::move(c));
+    auto session = service.CreateSession();
+    const char* query = R"(
+        for $d in collection("/disk")
+        where $d("v") gt 120
+        order by $d("v")
+        return $d("v"))";
+    auto run = [&]() -> bool {
+      QueryTicket t = session->Submit(query);
+      t.Wait();
+      EXPECT_TRUE(t.status().ok()) << t.status().ToString();
+      return t.plan_cache_hit();
+    };
+
+    // First run misses and learns stats or columns (bumping the cache
+    // epoch), so the second run's key differs and misses again; by the
+    // third run the epoch is quiescent and the cache hits.
+    EXPECT_FALSE(run());
+    run();  // epoch moved mid-flight; hit-or-miss depends on timing
+    EXPECT_TRUE(run());
+
+    struct Mutation {
+      const char* what;
+      std::function<void()> apply;
+    };
+    const Mutation mutations[] = {
+        {"append", [&] { write_rows(110, 65); }},
+        {"truncate", [&] { write_rows(110, 40); }},
+        {"same-size rewrite", [&] { write_rows(210, 40); }},
+    };
+    for (const Mutation& m : mutations) {
+      m.apply();
+      bump_mtime(path);
+      // The first post-mutation submit computes its key before executing,
+      // so it may still hit; its execution detects the stale sample and
+      // rebuilds, bumping the epoch. The next submit must recompile.
+      run();
+      EXPECT_FALSE(run()) << "stale plan served after " << m.what;
     }
-  };
-  int mtime_step = 0;
-  auto bump_mtime = [&](const std::string& p) {
-    struct utimbuf times;
-    times.actime = ::time(nullptr) + (++mtime_step) * 2;
-    times.modtime = times.actime;
-    ASSERT_EQ(::utime(p.c_str(), &times), 0) << p;
-  };
-  write_rows(/*base=*/110, /*n=*/64);
 
-  QueryService service;
-  Collection c;
-  c.files.push_back(JsonFile::FromPath(path));
-  service.catalog()->RegisterCollection("/disk", std::move(c));
-  auto session = service.CreateSession();
-  const char* query = R"(
-      for $d in collection("/disk")
-      where $d("v") gt 120
-      order by $d("v")
-      return $d("v"))";
-  auto run = [&]() -> bool {
-    QueryTicket t = session->Submit(query);
-    t.Wait();
-    EXPECT_TRUE(t.status().ok()) << t.status().ToString();
-    return t.plan_cache_hit();
-  };
-
-  // First run misses and builds stats (bumping the stats epoch), so
-  // the second run's key differs and misses again; by the third run
-  // both the stats and storage epochs are quiescent and the cache hits.
-  EXPECT_FALSE(run());
-  run();  // epoch moved mid-flight; hit-or-miss depends on timing
-  EXPECT_TRUE(run());
-
-  struct Mutation {
-    const char* what;
-    std::function<void()> apply;
-  };
-  const Mutation mutations[] = {
-      {"append", [&] { write_rows(110, 65); }},
-      {"truncate", [&] { write_rows(110, 40); }},
-      {"same-size rewrite", [&] { write_rows(210, 40); }},
-  };
-  for (const Mutation& m : mutations) {
-    m.apply();
-    bump_mtime(path);
-    // The first post-mutation submit computes its key before executing,
-    // so it may still hit; its execution detects the stale sample and
-    // rebuilds, bumping the epoch. The next submit must recompile.
-    run();
-    EXPECT_FALSE(run()) << "stale plan served after " << m.what;
-  }
-
-  std::remove(path.c_str());
-  if (DIR* d = ::opendir(dir.c_str())) {
-    while (struct dirent* e = ::readdir(d)) {
-      std::string name = e->d_name;
-      if (name == "." || name == "..") continue;
-      std::remove((dir + "/" + name).c_str());
+    std::remove(path.c_str());
+    if (DIR* d = ::opendir(dir.c_str())) {
+      while (struct dirent* e = ::readdir(d)) {
+        std::string name = e->d_name;
+        if (name == "." || name == "..") continue;
+        std::remove((dir + "/" + name).c_str());
+      }
+      ::closedir(d);
     }
-    ::closedir(d);
+    ::rmdir(dir.c_str());
   }
-  ::rmdir(dir.c_str());
 }
 
 TEST(QueryServiceTest, CacheKeyedByOptionsNotJustText) {

@@ -5,9 +5,9 @@
 // grid, and {sequential, threaded-morsel, tiny-budget-spill,
 // dirty-NDJSON} configurations. Adversarial cases feed the planner
 // stale, corrupted, truncated, and foreign .jstats sidecars: wrong
-// stats may change performance, never answers. Non-vacuousness
-// assertions (stats actually built/consumed) are gated on
-// JPAR_DISABLE_STATS so the CI kill-switch job still passes.
+// stats may change performance, never answers. Every config also runs
+// with the storage tier off (storage_mode), since stats share the
+// per-file cache with tapes and columns but must not depend on them.
 
 #include <gtest/gtest.h>
 
@@ -154,7 +154,7 @@ void ExpectSameAnswer(const RunResult& off, const RunResult& on,
 }
 
 struct ConfigCase {
-  const char* name;
+  std::string name;
   ExecOptions exec;
 };
 
@@ -172,6 +172,13 @@ std::vector<ConfigCase> Configs() {
   spill.memory_limit_bytes = 4096;
   spill.spill = SpillMode::kEnabled;
   configs.push_back({"spill-tiny", spill});
+  const size_t warm = configs.size();
+  for (size_t i = 0; i < warm; ++i) {
+    ConfigCase cold = configs[i];
+    cold.name += " / storage off";
+    cold.exec.storage_mode = StorageMode::kOff;
+    configs.push_back(std::move(cold));
+  }
   return configs;
 }
 
@@ -186,7 +193,7 @@ TEST(StatsDifferentialTest, PaperQueriesMatchStatsOff) {
   spec.seed = 101;
 
   for (const ConfigCase& config : Configs()) {
-    StatsStore::Instance().Clear();
+    StorageManager::Instance().Clear();
     TempCollectionDir dir;
     Engine engine;
     RegisterSensorsOnDisk(&engine, &dir, spec);
@@ -215,10 +222,8 @@ TEST(StatsDifferentialTest, PaperQueriesMatchStatsOff) {
     // have sampled something. (Per-query can legitimately be zero — a
     // zone-pruned columnar read skips the tee to keep samples
     // unbiased.)
-    if (!StatsDisabledByEnv()) {
-      EXPECT_GT(total_built, 0u)
-          << config.name << ": no stats were built by any auto run";
-    }
+    EXPECT_GT(total_built, 0u)
+        << config.name << ": no stats were built by any auto run";
   }
 }
 
@@ -270,7 +275,7 @@ TEST(StatsDifferentialTest, RandomizedGridMatchesStatsOff) {
   };
 
   for (const GridCase& g : grid) {
-    StatsStore::Instance().Clear();
+    StorageManager::Instance().Clear();
     TempCollectionDir dir;
     Engine engine;
     Collection c;
@@ -329,7 +334,7 @@ std::string DirtyNdjson(int base) {
 
 TEST(StatsDifferentialTest, DirtyNdjsonSkipCountsAgree) {
   for (const ConfigCase& config : Configs()) {
-    StatsStore::Instance().Clear();
+    StorageManager::Instance().Clear();
     TempCollectionDir dir;
     Engine engine;
     Collection c;
@@ -399,16 +404,14 @@ class AdversarialSidecarTest : public ::testing::Test {
   /// the data file and/or the .jstats sidecars it produced, clears the
   /// in-memory store (so the next run must consult the tampered disk
   /// state), and requires every stats mode to still match the
-  /// stats-off answer. Under JPAR_DISABLE_STATS no sidecars exist and
-  /// the sabotage list is empty — the differential claim holds
-  /// trivially, which is exactly what the kill-switch promises.
+  /// stats-off answer.
   void Check(
       const std::function<void(TempCollectionDir* dir,
                                const std::string& data_path,
                                const std::vector<std::string>& sidecars)>&
           sabotage,
       const char* what) {
-    StatsStore::Instance().Clear();
+    StorageManager::Instance().Clear();
     TempCollectionDir dir;
     std::string path = dir.Write("grid_0.ndjson", CleanNdjson(400, 0));
     Engine engine;
@@ -422,13 +425,11 @@ class AdversarialSidecarTest : public ::testing::Test {
     // Learn genuine stats (and their sidecars).
     RunResult warm = RunWith(engine, kGridQuery, exec, StatsMode::kAuto);
     ASSERT_TRUE(warm.ok) << what << ": " << warm.message;
-    if (!StatsDisabledByEnv()) {
-      ASSERT_FALSE(dir.Sidecars().empty())
-          << what << ": the warm run should have written sidecars";
-    }
+    ASSERT_FALSE(dir.Sidecars().empty())
+        << what << ": the warm run should have written sidecars";
 
     sabotage(&dir, path, dir.Sidecars());
-    StatsStore::Instance().Clear();
+    StorageManager::Instance().Clear();
 
     RunResult off = RunWith(engine, kGridQuery, exec, StatsMode::kOff);
     ASSERT_TRUE(off.ok) << what << ": " << off.message;
@@ -499,7 +500,7 @@ TEST_F(AdversarialSidecarTest, ForeignSidecarFromAnotherFile) {
               sidecars.end();
           if (!original) donor = candidate;
         }
-        if (donor.empty()) return;  // stats disabled; nothing to forge
+        ASSERT_FALSE(donor.empty()) << "the donor run wrote no sidecar";
         std::string bytes = SlurpFile(donor);
         for (const std::string& sidecar : sidecars) {
           OverwriteFile(sidecar, bytes);
@@ -508,68 +509,72 @@ TEST_F(AdversarialSidecarTest, ForeignSidecarFromAnotherFile) {
       "foreign");
 }
 
-// The tampered store must report a clean miss, not a poisoned hit.
+// The tampered cache must report a clean miss, not a poisoned hit, for
+// every sidecar kind: tapes, columns and stats share one format.
 TEST(StatsStoreSidecarTest, CorruptAndForeignSidecarsAreCleanMisses) {
-  if (StatsDisabledByEnv()) GTEST_SKIP() << "JPAR_DISABLE_STATS set";
-  StatsStore& store = StatsStore::Instance();
-  store.Clear();
-  StatsConfig cfg;
+  StorageManager& cache = StorageManager::Instance();
+  cache.Clear();
+  const StorageConfig cfg;
   TempCollectionDir dir;
-  std::string path = dir.Write("x.ndjson", CleanNdjson(40, 0));
-  auto sig = StatFileSignature(path);
-  ASSERT_TRUE(sig.ok());
-
-  PathStats s;
-  for (int i = 0; i < 40; ++i) s.Observe(Item::Int64(i));
-  store.Put(path, "$", s, *sig, cfg);
-  std::string sidecar = store.SidecarPathFor(path, "$", cfg);
-
-  // Corrupt: flip payload bytes.
-  {
-    std::ifstream in(sidecar, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    ASSERT_GT(bytes.size(), 30u);
-    for (size_t i = bytes.size() - 8; i < bytes.size(); ++i) {
-      bytes[i] = static_cast<char>(~bytes[i]);
+  const std::string path = dir.Write("x.ndjson", CleanNdjson(40, 0));
+  const std::string other = dir.Write("y.ndjson", CleanNdjson(90, 5));
+  for (const std::string& p : {path, other}) {
+    auto tape = cache.AcquireTape(p, cfg);
+    ASSERT_TRUE(tape.ok()) << tape.status().ToString();
+    ColumnBuilder column;
+    PathStats stats;
+    for (int i = 0; i < 40; ++i) {
+      column.Add(Item::Int64(i));
+      stats.Observe(Item::Int64(i));
     }
-    std::ofstream out(sidecar, std::ios::binary | std::ios::trunc);
-    out << bytes;
+    cache.PutColumn(p, "$", column.Finish(0), tape->signature, cfg);
+    cache.PutStats(p, "$", stats, tape->signature, cfg);
   }
-  store.Clear();
-  EXPECT_EQ(store.Get(path, "$", cfg), nullptr)
-      << "corrupted payload must miss cleanly";
 
-  // Truncated header.
-  {
-    std::ofstream out(sidecar, std::ios::binary | std::ios::trunc);
-    out << "JPSTAT1\n";
+  for (SidecarKind kind :
+       {SidecarKind::kTape, SidecarKind::kColumn, SidecarKind::kStats}) {
+    const std::string sidecar =
+        StorageManager::SidecarPath(kind, path, "$", cfg);
+    const std::string intact = SlurpFile(sidecar);
+    ASSERT_GT(intact.size(), 40u) << sidecar;
+    // Whether `path`'s `kind` is served from the sidecar on disk.
+    auto served = [&] {
+      cache.Clear();
+      switch (kind) {
+        case SidecarKind::kTape: {
+          auto tape = cache.AcquireTape(path, cfg);
+          return tape.ok() && tape->hit;
+        }
+        case SidecarKind::kColumn:
+          return cache.GetColumn(path, "$", cfg) != nullptr;
+        case SidecarKind::kStats:
+          return cache.GetStats(path, "$", cfg) != nullptr;
+      }
+      return false;
+    };
+    EXPECT_TRUE(served()) << sidecar << ": the intact sidecar must serve";
+
+    std::string corrupt = intact;
+    for (size_t i = corrupt.size() - 8; i < corrupt.size(); ++i) {
+      corrupt[i] = static_cast<char>(~corrupt[i]);
+    }
+    OverwriteFile(sidecar, corrupt);
+    EXPECT_FALSE(served()) << sidecar << ": corrupt payload must miss";
+
+    OverwriteFile(sidecar, intact.substr(0, 8));
+    EXPECT_FALSE(served()) << sidecar << ": truncated header must miss";
+
+    // A sidecar stamped for another file's bytes.
+    OverwriteFile(sidecar,
+                  SlurpFile(StorageManager::SidecarPath(kind, other, "$",
+                                                        cfg)));
+    EXPECT_FALSE(served()) << sidecar << ": foreign signature must miss";
+
+    // And after all that abuse, the honest sidecar still serves.
+    OverwriteFile(sidecar, intact);
+    EXPECT_TRUE(served()) << sidecar;
   }
-  store.Clear();
-  EXPECT_EQ(store.Get(path, "$", cfg), nullptr)
-      << "truncated sidecar must miss cleanly";
-
-  // Foreign signature: a sidecar stamped for another file's bytes.
-  std::string other = dir.Write("y.ndjson", CleanNdjson(90, 5));
-  auto other_sig = StatFileSignature(other);
-  ASSERT_TRUE(other_sig.ok());
-  store.Put(other, "$", s, *other_sig, cfg);
-  {
-    std::ifstream in(store.SidecarPathFor(other, "$", cfg),
-                     std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    std::ofstream out(sidecar, std::ios::binary | std::ios::trunc);
-    out << bytes;
-  }
-  store.Clear();
-  EXPECT_EQ(store.Get(path, "$", cfg), nullptr)
-      << "foreign-signature sidecar must miss cleanly";
-
-  // And after all that abuse, honest stats still install and serve.
-  store.Put(path, "$", s, *sig, cfg);
-  EXPECT_NE(store.Get(path, "$", cfg), nullptr);
-  store.Clear();
+  cache.Clear();
 }
 
 }  // namespace

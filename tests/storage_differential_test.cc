@@ -5,10 +5,11 @@
 // sequential, threaded-morsel, and tiny-budget-spilling configurations.
 // Stale-cache cases mutate the underlying files (truncate, append,
 // same-size rewrite with an mtime bump) and require a transparent fall
-// back to the cold answer. Non-vacuousness assertions (the warm runs
-// actually hit the cache) are gated on JPAR_DISABLE_STORAGE_CACHE so
-// the CI kill-switch job still passes: with the cache disabled every
-// run is cold and the differential claims hold trivially.
+// back to the cold answer, and so do corrupt tape and column sidecars.
+// The paper-query and dirty-NDJSON loops run with sampled stats on and
+// off (stats_mode), since stats share the per-file cache with tapes and
+// columns. Non-vacuousness assertions check the warm runs actually hit
+// the cache.
 
 #include <gtest/gtest.h>
 
@@ -16,11 +17,14 @@
 #include <sys/stat.h>
 #include <utime.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <ctime>
 #include <fstream>
 #include <functional>
+#include <iterator>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,8 +41,8 @@ namespace {
 // Disk fixtures
 
 /// A unique directory of path-backed collection files. Tracks every
-/// file it writes and removes them — plus any .jtape / .jcol sidecars
-/// the storage tier left next to them — on destruction.
+/// file it writes and removes them — plus any .jtape / .jcol / .jstats
+/// sidecars the cache left next to them — on destruction.
 class TempCollectionDir {
  public:
   TempCollectionDir() {
@@ -51,8 +55,8 @@ class TempCollectionDir {
   }
 
   ~TempCollectionDir() {
-    // Remove data files and whatever sidecars (.jtape, .<hash>.jcol)
-    // the storage tier wrote beside them.
+    // Remove data files and whatever sidecars (.jtape, .<hash>.jcol,
+    // .<hash>.jstats) the cache wrote beside them.
     if (DIR* d = ::opendir(dir_.c_str())) {
       while (struct dirent* e = ::readdir(d)) {
         std::string name = e->d_name;
@@ -86,10 +90,41 @@ class TempCollectionDir {
 
   const std::string& dir() const { return dir_; }
 
+  /// Paths of the files in the directory whose names end in `suffix`,
+  /// sorted.
+  std::vector<std::string> FilesEndingIn(const std::string& suffix) const {
+    std::vector<std::string> out;
+    if (DIR* d = ::opendir(dir_.c_str())) {
+      while (struct dirent* e = ::readdir(d)) {
+        std::string name = e->d_name;
+        if (name == "." || name == "..") continue;
+        if (name.size() >= suffix.size() &&
+            name.compare(name.size() - suffix.size(), suffix.size(),
+                         suffix) == 0) {
+          out.push_back(dir_ + "/" + name);
+        }
+      }
+      ::closedir(d);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
  private:
   std::string dir_;
   std::vector<std::string> files_;
 };
+
+std::string SlurpFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void OverwriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
 
 /// Registers a path-backed sensor collection generated from `spec`.
 void RegisterSensorsOnDisk(Engine* engine, TempCollectionDir* dir,
@@ -178,35 +213,36 @@ TEST(StorageDifferentialTest, PaperQueriesMatchColdAcrossAccessPaths) {
   spec.seed = 77;
 
   for (const StorageConfigCase& config : Configs()) {
-    StorageManager::Instance().Clear();
-    TempCollectionDir dir;
-    Engine engine;
-    RegisterSensorsOnDisk(&engine, &dir, spec);
+    for (StatsMode stats_mode : {StatsMode::kAuto, StatsMode::kOff}) {
+      StorageManager::Instance().Clear();
+      TempCollectionDir dir;
+      Engine engine;
+      RegisterSensorsOnDisk(&engine, &dir, spec);
+      ExecOptions exec = config.exec;
+      exec.stats_mode = stats_mode;
 
-    for (const jparbench::NamedQuery& q : jparbench::kAllQueries) {
-      auto compiled = engine.Compile(q.text, RuleOptions::All());
-      ASSERT_TRUE(compiled.ok()) << q.name << ": "
-                                 << compiled.status().ToString();
+      for (const jparbench::NamedQuery& q : jparbench::kAllQueries) {
+        auto compiled = engine.Compile(q.text, RuleOptions::All(), exec);
+        ASSERT_TRUE(compiled.ok()) << q.name << ": "
+                                   << compiled.status().ToString();
 
-      std::string what = std::string(q.name) + " / " + config.name;
-      RunResult cold = RunWith(engine, *compiled, config.exec,
-                               StorageMode::kOff);
-      ASSERT_TRUE(cold.ok) << what << ": " << cold.message;
+        std::string what = std::string(q.name) + " / " + config.name +
+                           (stats_mode == StatsMode::kOff ? " / stats off"
+                                                          : "");
+        RunResult cold = RunWith(engine, *compiled, exec, StorageMode::kOff);
+        ASSERT_TRUE(cold.ok) << what << ": " << cold.message;
 
-      // First warm run builds tapes + columns; the answer must already
-      // match. Second warm run serves from the caches. kTape isolates
-      // the structural-index level.
-      RunResult build = RunWith(engine, *compiled, config.exec,
-                                StorageMode::kAuto);
-      ExpectSameAnswer(cold, build, what + " (cache-building run)");
-      RunResult warm = RunWith(engine, *compiled, config.exec,
-                               StorageMode::kAuto);
-      ExpectSameAnswer(cold, warm, what + " (columnar-warm run)");
-      RunResult tape = RunWith(engine, *compiled, config.exec,
-                               StorageMode::kTape);
-      ExpectSameAnswer(cold, tape, what + " (tape-warm run)");
+        // First warm run builds tapes + columns; the answer must already
+        // match. Second warm run serves from the caches. kTape isolates
+        // the structural-index level.
+        RunResult build =
+            RunWith(engine, *compiled, exec, StorageMode::kAuto);
+        ExpectSameAnswer(cold, build, what + " (cache-building run)");
+        RunResult warm = RunWith(engine, *compiled, exec, StorageMode::kAuto);
+        ExpectSameAnswer(cold, warm, what + " (columnar-warm run)");
+        RunResult tape = RunWith(engine, *compiled, exec, StorageMode::kTape);
+        ExpectSameAnswer(cold, tape, what + " (tape-warm run)");
 
-      if (!StorageCacheDisabledByEnv()) {
         EXPECT_EQ(cold.tape_hits + cold.tape_builds + cold.columns_read, 0u)
             << what << ": kOff must not touch the cache";
         // Queries sharing a scan path may be served columns another
@@ -252,21 +288,17 @@ TEST(StorageDifferentialTest, SidecarsSurviveInMemoryClear) {
   StorageManager::Instance().Clear();
   RunResult tape = RunWith(engine, *compiled, exec, StorageMode::kTape);
   ExpectSameAnswer(cold, tape, "sidecar tape rewarm run");
-  if (!StorageCacheDisabledByEnv()) {
-    // Stage 1 was not re-run: the tape loaded from its sidecar.
-    EXPECT_GT(tape.tape_hits, 0u);
-    EXPECT_EQ(tape.tape_builds, 0u);
-  }
+  // Stage 1 was not re-run: the tape loaded from its sidecar.
+  EXPECT_GT(tape.tape_hits, 0u);
+  EXPECT_EQ(tape.tape_builds, 0u);
 
   // ...and the columnar level rewarms from its .jcol sidecars without
   // touching any JSON bytes.
   StorageManager::Instance().Clear();
   RunResult rewarm = RunWith(engine, *compiled, exec, StorageMode::kAuto);
   ExpectSameAnswer(cold, rewarm, "sidecar columnar rewarm run");
-  if (!StorageCacheDisabledByEnv()) {
-    EXPECT_GT(rewarm.columns_read, 0u);
-    EXPECT_EQ(rewarm.tape_builds, 0u);
-  }
+  EXPECT_GT(rewarm.columns_read, 0u);
+  EXPECT_EQ(rewarm.tape_builds, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -293,44 +325,49 @@ std::string DirtyNdjson(int base) {
 
 TEST(StorageDifferentialTest, DirtyNdjsonSkipCountsAgree) {
   for (const StorageConfigCase& config : Configs()) {
-    StorageManager::Instance().Clear();
-    TempCollectionDir dir;
-    Engine engine;
-    Collection c;
-    for (int f = 0; f < 3; ++f) {
-      c.files.push_back(JsonFile::FromPath(
-          dir.Write("dirty_" + std::to_string(f) + ".ndjson",
-                    DirtyNdjson(f * 100))));
+    for (StatsMode stats_mode : {StatsMode::kAuto, StatsMode::kOff}) {
+      StorageManager::Instance().Clear();
+      TempCollectionDir dir;
+      Engine engine;
+      Collection c;
+      for (int f = 0; f < 3; ++f) {
+        c.files.push_back(JsonFile::FromPath(
+            dir.Write("dirty_" + std::to_string(f) + ".ndjson",
+                      DirtyNdjson(f * 100))));
+      }
+      engine.catalog()->RegisterCollection("/dirty", std::move(c));
+      ExecOptions strict = config.exec;
+      strict.stats_mode = stats_mode;
+      auto compiled = engine.Compile(kDirtyQuery, RuleOptions::All(), strict);
+      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+
+      ExecOptions lenient = strict;
+      lenient.on_parse_error = ParseErrorPolicy::kSkipAndCount;
+
+      std::string what = std::string("dirty / ") + config.name +
+                         (stats_mode == StatsMode::kOff ? " / stats off" : "");
+      RunResult cold = RunWith(engine, *compiled, lenient, StorageMode::kOff);
+      ASSERT_TRUE(cold.ok) << what << ": " << cold.message;
+      ASSERT_GT(cold.skipped, 0u) << what;
+      RunResult build =
+          RunWith(engine, *compiled, lenient, StorageMode::kAuto);
+      ExpectSameAnswer(cold, build, what + " (build)");
+      RunResult warm = RunWith(engine, *compiled, lenient, StorageMode::kAuto);
+      ExpectSameAnswer(cold, warm, what + " (warm)");
+
+      // Strict mode must fail identically warm and cold: a column built
+      // by a lenient scan records its skips, and strict queries refuse
+      // it rather than silently dropping the malformed records.
+      RunResult cold_strict =
+          RunWith(engine, *compiled, strict, StorageMode::kOff);
+      RunResult warm_strict =
+          RunWith(engine, *compiled, strict, StorageMode::kAuto);
+      ASSERT_FALSE(cold_strict.ok) << what;
+      ASSERT_FALSE(warm_strict.ok) << what;
+      EXPECT_EQ(static_cast<int>(cold_strict.code),
+                static_cast<int>(warm_strict.code))
+          << what;
     }
-    engine.catalog()->RegisterCollection("/dirty", std::move(c));
-    auto compiled = engine.Compile(kDirtyQuery, RuleOptions::All());
-    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-
-    ExecOptions lenient = config.exec;
-    lenient.on_parse_error = ParseErrorPolicy::kSkipAndCount;
-
-    std::string what = std::string("dirty / ") + config.name;
-    RunResult cold = RunWith(engine, *compiled, lenient, StorageMode::kOff);
-    ASSERT_TRUE(cold.ok) << what << ": " << cold.message;
-    ASSERT_GT(cold.skipped, 0u) << what;
-    RunResult build = RunWith(engine, *compiled, lenient, StorageMode::kAuto);
-    ExpectSameAnswer(cold, build, what + " (build)");
-    RunResult warm = RunWith(engine, *compiled, lenient, StorageMode::kAuto);
-    ExpectSameAnswer(cold, warm, what + " (warm)");
-
-    // Strict mode must fail identically warm and cold: a column built
-    // by a lenient scan records its skips, and strict queries refuse
-    // it rather than silently dropping the malformed records.
-    ExecOptions strict = config.exec;
-    RunResult cold_strict =
-        RunWith(engine, *compiled, strict, StorageMode::kOff);
-    RunResult warm_strict =
-        RunWith(engine, *compiled, strict, StorageMode::kAuto);
-    ASSERT_FALSE(cold_strict.ok) << what;
-    ASSERT_FALSE(warm_strict.ok) << what;
-    EXPECT_EQ(static_cast<int>(cold_strict.code),
-              static_cast<int>(warm_strict.code))
-        << what;
   }
 }
 
@@ -419,6 +456,133 @@ TEST_F(StaleCacheTest, SameSizeRewriteWithMtimeBumpFallsBackCold) {
 }
 
 // ---------------------------------------------------------------------
+// Corrupt sidecars: a damaged tape or column must miss and be rebuilt
+
+class CorruptSidecarTest : public ::testing::Test {
+ protected:
+  /// Warms every cache level over a sensor corpus with the paper
+  /// queries, clears memory, lets `corrupt` damage every sidecar whose
+  /// name ends in `suffix`, and requires each query under `mode` to
+  /// return the cold answer and the sidecar to be rewritten intact.
+  void Check(const std::string& suffix, StorageMode mode,
+             const std::function<void(const std::string& sidecar,
+                                      std::string* bytes)>& corrupt) {
+    SensorDataSpec spec;
+    spec.num_files = 4;
+    StorageManager::Instance().Clear();
+    TempCollectionDir dir;
+    Engine engine;
+    RegisterSensorsOnDisk(&engine, &dir, spec);
+    ExecOptions exec;
+    exec.partitions = 2;
+
+    std::vector<CompiledQuery> plans;
+    std::vector<RunResult> cold;
+    for (const jparbench::NamedQuery& q : jparbench::kAllQueries) {
+      auto compiled = engine.Compile(q.text, RuleOptions::All());
+      ASSERT_TRUE(compiled.ok()) << q.name << ": "
+                                 << compiled.status().ToString();
+      plans.push_back(*compiled);
+      cold.push_back(RunWith(engine, plans.back(), exec, StorageMode::kOff));
+      ASSERT_TRUE(cold.back().ok) << q.name << ": " << cold.back().message;
+    }
+    for (const CompiledQuery& plan : plans) {
+      ASSERT_TRUE(RunWith(engine, plan, exec, StorageMode::kAuto).ok);
+    }
+
+    std::map<std::string, std::string> intact;
+    for (const std::string& sidecar : dir.FilesEndingIn(suffix)) {
+      intact[sidecar] = SlurpFile(sidecar);
+      std::string bytes = intact[sidecar];
+      corrupt(sidecar, &bytes);
+      ASSERT_NE(bytes, intact[sidecar]) << sidecar;
+      OverwriteFile(sidecar, bytes);
+    }
+    ASSERT_FALSE(intact.empty()) << "no " << suffix << " sidecars written";
+    StorageManager::Instance().Clear();
+
+    for (size_t i = 0; i < plans.size(); ++i) {
+      RunResult warm = RunWith(engine, plans[i], exec, mode);
+      ExpectSameAnswer(cold[i], warm,
+                       std::string(jparbench::kAllQueries[i].name) +
+                           " over corrupt " + suffix + " sidecars");
+    }
+    for (const auto& [sidecar, bytes] : intact) {
+      EXPECT_EQ(SlurpFile(sidecar), bytes)
+          << sidecar << " was not rebuilt";
+    }
+  }
+};
+
+TEST_F(CorruptSidecarTest, FlippedTapeQuoteBitIsRebuilt) {
+  Check(".jtape", StorageMode::kTape,
+        [](const std::string& sidecar, std::string* bytes) {
+          // The tape ends with four bitmaps of one bit per data byte,
+          // quotes first: damage one byte in the middle of the quote
+          // bitmap. That still loads as a well-formed tape.
+          const std::string data =
+              sidecar.substr(0, sidecar.size() - std::string(".jtape").size());
+          const size_t bitmap = ((SlurpFile(data).size() + 63) / 64) * 8;
+          ASSERT_GE(bytes->size(), 4 * bitmap);
+          (*bytes)[bytes->size() - 4 * bitmap + bitmap / 2] ^= 0x5a;
+        });
+}
+
+TEST_F(CorruptSidecarTest, FlippedColumnBitIsRebuilt) {
+  Check(".jcol", StorageMode::kAuto,
+        [](const std::string&, std::string* bytes) {
+          // One bit of a stored value: the column still decodes, to
+          // different values.
+          (*bytes)[bytes->size() * 70 / 100] ^= 0x01;
+        });
+}
+
+// The cache dir is resolved per query: a query with no cache dir puts
+// its sidecars next to its own data, even after another query used a
+// cache dir.
+TEST(StorageDifferentialTest, EmptyCacheDirKeepsSidecarsNextToTheData) {
+  StorageManager::Instance().Clear();
+  TempCollectionDir cache_dir;
+  TempCollectionDir first_dir;
+  TempCollectionDir second_dir;
+  Engine engine;
+  for (auto [name, dir] : {std::pair{"/first", &first_dir},
+                           std::pair{"/second", &second_dir}}) {
+    Collection c;
+    for (int f = 0; f < 2; ++f) {
+      c.files.push_back(JsonFile::FromPath(dir->Write(
+          "part_" + std::to_string(f) + ".ndjson", CleanNdjson(30, f * 50))));
+    }
+    engine.catalog()->RegisterCollection(name, std::move(c));
+  }
+  const char* query = R"(
+    for $d in collection("%s")
+    where $d("g") eq "a"
+    return $d("v"))";
+  auto run = [&](const std::string& collection, const ExecOptions& exec) {
+    std::string text = query;
+    text.replace(text.find("%s"), 2, collection);
+    auto compiled = engine.Compile(text, RuleOptions::All(), exec);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    auto out = engine.Execute(*compiled, exec);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+  };
+
+  ExecOptions with_dir;
+  with_dir.storage_cache_dir = cache_dir.dir();
+  run("/first", with_dir);
+  const size_t in_cache_dir = cache_dir.FilesEndingIn("").size();
+  EXPECT_GT(in_cache_dir, 0u);
+  EXPECT_TRUE(first_dir.FilesEndingIn(".jtape").empty());
+
+  run("/second", ExecOptions{});
+  EXPECT_EQ(second_dir.FilesEndingIn(".jtape").size(), 2u)
+      << "an empty cache dir means next to this query's data";
+  EXPECT_EQ(cache_dir.FilesEndingIn("").size(), in_cache_dir)
+      << "the earlier query's cache dir must not stick";
+}
+
+// ---------------------------------------------------------------------
 // Zone maps: pruned blocks must never change the answer
 
 TEST(StorageDifferentialTest, ZoneMapPruningMatchesColdAnswer) {
@@ -455,11 +619,9 @@ TEST(StorageDifferentialTest, ZoneMapPruningMatchesColdAnswer) {
   ExpectSameAnswer(cold, build, "zone build run");
   RunResult warm = RunWith(engine, *compiled, exec, StorageMode::kAuto);
   ExpectSameAnswer(cold, warm, "zone warm run");
-  if (!StorageCacheDisabledByEnv()) {
-    EXPECT_GT(warm.columns_read, 0u);
-    EXPECT_GT(warm.blocks_pruned, 0u)
-        << "the high threshold must prune whole blocks";
-  }
+  EXPECT_GT(warm.columns_read, 0u);
+  EXPECT_GT(warm.blocks_pruned, 0u)
+      << "the high threshold must prune whole blocks";
 
   // The mirrored predicate (constant on the left) prunes identically.
   const char* flipped = R"(
