@@ -66,16 +66,13 @@ std::string FmtSel(double sel) {
   return buf;
 }
 
-/// Compile-time zone-map annotation (DESIGN.md §14). When a SELECT
-/// sits directly on a DATASCAN and compares the scan's output column
-/// against a numeric constant (either argument order), the normalized
-/// predicate is recorded on the ScanDesc so the executor's columnar
-/// access path can prune whole blocks by their min/max zone maps. The
-/// SELECT stays in the plan untouched — pruning only ever removes rows
-/// the SELECT would drop, so every other access path is unaffected.
-void MaybeAnnotateZonePredicate(PNode* node) {
-  if (node->scan.kind != ScanDesc::Kind::kDataScan) return;
-  if (node->input != nullptr || node->ops.size() != 1) return;
+/// Records the zone-map comparison (DESIGN.md §14) when the pipeline's
+/// only op is a SELECT comparing the scan's output column against a
+/// numeric constant (either argument order), normalized so the
+/// executor's columnar access path can prune whole blocks by their
+/// min/max zone maps.
+void AnnotateZonePredicate(PNode* node) {
+  if (node->ops.size() != 1) return;
   const ScalarEval* ev = node->ops.front().eval.get();
   if (ev == nullptr || ev->shape() != ScalarEval::Shape::kFunction) return;
   Builtin fn = ev->shape_function();
@@ -132,6 +129,77 @@ void MaybeAnnotateZonePredicate(PNode* node) {
   }
   node->scan.zone_op = op;
   node->scan.zone_value = constant->AsDouble();
+}
+
+/// Adds to *keys (deduplicated) the field k of every value($col0, "k")
+/// in `ev`. False when `ev` reads column 0 any other way, is opaque, or
+/// reads a data source (collection()/json-doc() are not pure).
+bool CollectFilterKeys(const ScalarEval& ev, std::vector<std::string>* keys) {
+  switch (ev.shape()) {
+    case ScalarEval::Shape::kConstant:
+      return true;
+    case ScalarEval::Shape::kColumn:
+      return ev.shape_column() != 0;
+    case ScalarEval::Shape::kOpaque:
+      return false;
+    case ScalarEval::Shape::kFunction:
+      break;
+  }
+  const Builtin fn = ev.shape_function();
+  if (fn == Builtin::kCollection || fn == Builtin::kJsonDoc) return false;
+  const std::vector<ScalarEvalPtr>& args = *ev.shape_args();
+  if (fn == Builtin::kValue && args.size() == 2 &&
+      args[0]->shape() == ScalarEval::Shape::kColumn &&
+      args[0]->shape_column() == 0) {
+    const Item* key = args[1]->shape_constant();
+    if (key == nullptr || !key->is_string()) return false;
+    if (std::find(keys->begin(), keys->end(), key->string_value()) ==
+        keys->end()) {
+      keys->push_back(key->string_value());
+    }
+    return true;
+  }
+  return std::all_of(args.begin(), args.end(), [&](const ScalarEvalPtr& a) {
+    return CollectFilterKeys(*a, keys);
+  });
+}
+
+/// Records the scan filter (DESIGN.md §9): the leading ASSIGNs and
+/// SELECTs of the leaf pipeline, up to its last leading SELECT, become
+/// one predicate the reader tests before building each object. Only a
+/// pipeline whose prefix reads the scanned item through constant-key
+/// value() steps qualifies — then a slim record of those keys answers
+/// every read exactly as the full object would.
+void AnnotateScanFilter(PNode* node) {
+  size_t end = 0;  // one past the last SELECT of the leading prefix
+  for (size_t i = 0; i < node->ops.size(); ++i) {
+    const UnaryOpDesc::Kind kind = node->ops[i].kind;
+    if (kind == UnaryOpDesc::Kind::kSelect) {
+      end = i + 1;
+    } else if (kind != UnaryOpDesc::Kind::kAssign) {
+      break;
+    }
+  }
+  if (end == 0) return;
+  std::vector<std::string> keys;
+  for (size_t i = 0; i < end; ++i) {
+    if (!CollectFilterKeys(*node->ops[i].eval, &keys)) return;
+  }
+  node->scan.filter = MakeChainPredicate(std::vector<UnaryOpDesc>(
+      node->ops.begin(), node->ops.begin() + static_cast<std::ptrdiff_t>(end)));
+  node->scan.filter_keys = std::move(keys);
+}
+
+/// Compile-time scan-predicate annotation, run as each SELECT joins a
+/// leaf DATASCAN pipeline: the zone-map comparison for the columnar
+/// path and, when `scan_filter` is on, the filter the text and tape
+/// readers test before building. The SELECTs stay in the plan
+/// untouched — both only ever remove rows the SELECTs would drop.
+void AnnotateScanPredicate(PNode* node, bool scan_filter) {
+  if (node->scan.kind != ScanDesc::Kind::kDataScan) return;
+  if (node->input != nullptr) return;
+  AnnotateZonePredicate(node);
+  if (scan_filter) AnnotateScanFilter(node);
 }
 
 class Translator {
@@ -254,7 +322,7 @@ class Translator {
           ns.schema.push_back(op->out_var);
         } else if (op->kind == LOpKind::kSelect) {
           ns.node->ops.push_back(MaybeCompile(UnaryOpDesc::Select(std::move(ev))));
-          MaybeAnnotateZonePredicate(ns.node.get());
+          AnnotateScanPredicate(ns.node.get(), options_.scan_filter);
           if (cost() != nullptr) {
             double sel = CostModel::kDefaultSelectivity;
             // A zone-annotated SELECT (necessarily this one: annotation

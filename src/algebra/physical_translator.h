@@ -20,6 +20,10 @@ struct PhysicalOptions {
   /// vectorized. Off when the engine runs in ExprMode::kTree or the
   /// JPAR_DISABLE_EXPR_BYTECODE env kill-switch is set.
   bool compile_expr_bytecode = true;
+  /// Record the scan filter on leaf DATASCANs whose leading SELECTs
+  /// read the scanned item only through constant-key value() steps
+  /// (RuleOptions::scan_filter, DESIGN.md §9).
+  bool scan_filter = true;
   /// Sampled-statistics cost model (DESIGN.md §15), or null. When set
   /// and enabled, the translator attaches answer-preserving physical
   /// annotations: scan access hints, morsel-size and spill-fanout

@@ -36,11 +36,17 @@ struct RuleOptions {
   /// default — indexes must be built explicitly via
   /// Catalog::BuildPathIndex.
   bool index_rules = false;
+  /// Extension (DESIGN.md §9): filter before build. The leaf DATASCAN
+  /// tests its pipeline's leading SELECTs on a slim record of the
+  /// fields they read and builds only the objects that pass. Applied
+  /// during physical translation; answer-preserving.
+  bool scan_filter = true;
 
   static RuleOptions None() {
     RuleOptions o;
     o.path_rules = o.pipelining_rules = o.groupby_rules = false;
     o.two_step_aggregation = false;
+    o.scan_filter = false;
     o.join_rules = true;  // join extraction is kept: cross products of
                           // the sensor data are infeasible even scaled
     return o;

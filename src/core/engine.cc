@@ -41,6 +41,7 @@ Result<CompiledQuery> Engine::Compile(std::string_view query,
 
   PhysicalOptions popts;
   popts.two_step_aggregation = rules.two_step_aggregation;
+  popts.scan_filter = rules.scan_filter;
   // No point paying compilation (or carrying programs into the plan
   // cache) when the engine will never run them.
   popts.compile_expr_bytecode = options_.exec.expr_mode != ExprMode::kTree &&

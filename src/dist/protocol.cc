@@ -127,6 +127,7 @@ void EncodeRuleOptions(const RuleOptions& rules, std::string* out) {
   if (rules.two_step_aggregation) bits |= 1u << 4;
   if (rules.join_rules) bits |= 1u << 5;
   if (rules.index_rules) bits |= 1u << 6;
+  if (rules.scan_filter) bits |= 1u << 7;
   out->push_back(static_cast<char>(bits));
 }
 
@@ -139,6 +140,7 @@ Status DecodeRuleOptions(PayloadReader* reader, RuleOptions* out) {
   out->two_step_aggregation = (bits & (1u << 4)) != 0;
   out->join_rules = (bits & (1u << 5)) != 0;
   out->index_rules = (bits & (1u << 6)) != 0;
+  out->scan_filter = (bits & (1u << 7)) != 0;
   return Status::OK();
 }
 

@@ -60,36 +60,62 @@ Result<std::string> JsonCursor::ParseString() {
     // same unescaped quote the bitmap found).
   }
   std::string out;
+  JPAR_RETURN_NOT_OK(DecodeStringBody(&out));
+  return out;
+}
+
+Status JsonCursor::ValidateString() {
+  SkipWhitespace();
+  if (!Consume('"')) return ErrorHere("expected string");
+  if (index_ != nullptr) {
+    size_t close = IndexNextQuote(pos_);
+    if (close == StructuralIndex::npos) {
+      pos_ = text_.size();
+      return ErrorHere("unterminated string");
+    }
+    if (std::memchr(text_.data() + pos_, '\\', close - pos_) == nullptr) {
+      pos_ = close + 1;
+      return Status::OK();
+    }
+  }
+  return DecodeStringBody(nullptr);
+}
+
+Status JsonCursor::DecodeStringBody(std::string* out) {
+  // A null `out` validates the string exactly as decoding it would.
+  auto put = [out](char ch) {
+    if (out != nullptr) out->push_back(ch);
+  };
   while (pos_ < text_.size()) {
     char c = text_[pos_++];
-    if (c == '"') return out;
+    if (c == '"') return Status::OK();
     if (c == '\\') {
       if (pos_ >= text_.size()) return ErrorHere("unterminated escape");
       char e = text_[pos_++];
       switch (e) {
         case '"':
-          out.push_back('"');
+          put('"');
           break;
         case '\\':
-          out.push_back('\\');
+          put('\\');
           break;
         case '/':
-          out.push_back('/');
+          put('/');
           break;
         case 'n':
-          out.push_back('\n');
+          put('\n');
           break;
         case 't':
-          out.push_back('\t');
+          put('\t');
           break;
         case 'r':
-          out.push_back('\r');
+          put('\r');
           break;
         case 'b':
-          out.push_back('\b');
+          put('\b');
           break;
         case 'f':
-          out.push_back('\f');
+          put('\f');
           break;
         case 'u': {
           if (pos_ + 4 > text_.size()) return ErrorHere("bad \\u escape");
@@ -110,14 +136,14 @@ Result<std::string> JsonCursor::ParseString() {
           // UTF-8 encode the BMP code point (surrogate pairs are passed
           // through individually; sufficient for this engine's data).
           if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
+            put(static_cast<char>(code));
           } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+            put(static_cast<char>(0xC0 | (code >> 6)));
+            put(static_cast<char>(0x80 | (code & 0x3F)));
           } else {
-            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+            put(static_cast<char>(0xE0 | (code >> 12)));
+            put(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+            put(static_cast<char>(0x80 | (code & 0x3F)));
           }
           break;
         }
@@ -125,7 +151,7 @@ Result<std::string> JsonCursor::ParseString() {
           return ErrorHere("unknown escape");
       }
     } else {
-      out.push_back(c);
+      put(c);
     }
   }
   return ErrorHere("unterminated string");
@@ -387,6 +413,81 @@ Status JsonCursor::SkipValue(int depth) {
       (void)v;
       return Status::OK();
     }
+  }
+}
+
+Status JsonCursor::ValidateValue(int depth) {
+  if (depth > kMaxDepth) return ErrorHere("document too deeply nested");
+  SkipWhitespace();
+  switch (Peek()) {
+    case '{': {
+      ++pos_;
+      SkipWhitespace();
+      if (Consume('}')) return Status::OK();
+      while (true) {
+        JPAR_RETURN_NOT_OK(ValidateString());
+        JPAR_RETURN_NOT_OK(Expect(':'));
+        JPAR_RETURN_NOT_OK(ValidateValue(depth + 1));
+        SkipWhitespace();
+        if (Consume(',')) {
+          SkipWhitespace();
+          continue;
+        }
+        if (Consume('}')) return Status::OK();
+        return ErrorHere("expected ',' or '}' in object");
+      }
+    }
+    case '[': {
+      ++pos_;
+      SkipWhitespace();
+      if (Consume(']')) return Status::OK();
+      while (true) {
+        JPAR_RETURN_NOT_OK(ValidateValue(depth + 1));
+        SkipWhitespace();
+        if (Consume(',')) continue;
+        if (Consume(']')) return Status::OK();
+        return ErrorHere("expected ',' or ']' in array");
+      }
+    }
+    case '"':
+      return ValidateString();
+    default:
+      // Literals and numbers: SkipAtom is ParseValue's grammar and
+      // messages for them, minus the conversion.
+      return SkipAtom();
+  }
+}
+
+Status JsonCursor::ScanObjectFields(const std::vector<std::string>& keys,
+                                    std::vector<FieldSpan>* fields,
+                                    int depth) {
+  fields->assign(keys.size(), FieldSpan{});
+  if (depth > kMaxDepth) return ErrorHere("document too deeply nested");
+  SkipWhitespace();
+  if (!Consume('{')) return ErrorHere("expected object");
+  SkipWhitespace();
+  if (Consume('}')) return Status::OK();
+  while (true) {
+    JPAR_ASSIGN_OR_RETURN(std::string key, ParseString());
+    JPAR_RETURN_NOT_OK(Expect(':'));
+    SkipWhitespace();
+    const size_t begin = pos_;
+    JPAR_RETURN_NOT_OK(ValidateValue(depth + 1));
+    for (size_t i = 0; i < keys.size(); ++i) {
+      FieldSpan& f = (*fields)[i];
+      if (f.text.empty() && keys[i] == key) {
+        f.begin = begin;
+        f.text = text_.substr(begin, pos_ - begin);
+        break;
+      }
+    }
+    SkipWhitespace();
+    if (Consume(',')) {
+      SkipWhitespace();
+      continue;
+    }
+    if (Consume('}')) return Status::OK();
+    return ErrorHere("expected ',' or '}' in object");
   }
 }
 

@@ -1,7 +1,9 @@
 #ifndef JPAR_JSON_PARSER_H_
 #define JPAR_JSON_PARSER_H_
 
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/result.h"
 #include "json/item.h"
@@ -51,12 +53,38 @@ class JsonCursor {
   /// Parses a JSON string at the cursor (cursor must be at '"').
   Result<std::string> ParseString();
 
+  /// Validates one JSON value exactly as ParseValue would — the same
+  /// grammar, so the same inputs fail, and the same end position —
+  /// without building it. Unlike the indexed SkipValue, escape
+  /// sequences are decoded (and the output discarded), so a string
+  /// ParseValue rejects is rejected here too.
+  Status ValidateValue(int depth = 0);
+
+  /// Where one field's value lies in the cursor's text: `text` is its
+  /// raw JSON (empty when the field is absent), `begin` its offset.
+  struct FieldSpan {
+    size_t begin = 0;
+    std::string_view text;
+  };
+
+  /// Walks the object at the cursor exactly as ParseValue would — the
+  /// same grammar, so the same objects fail, and the same end position
+  /// — checking every value with ValidateValue, and records in
+  /// (*fields)[i] the value of the first field named keys[i] (the one
+  /// Item::GetField picks). Keys are compared decoded, so an escaped
+  /// spelling of a key matches. The scan filter (projecting_reader.h)
+  /// tests a record through these spans before deciding to build it.
+  Status ScanObjectFields(const std::vector<std::string>& keys,
+                          std::vector<FieldSpan>* fields, int depth = 0);
+
   void SkipWhitespace();
   bool AtEnd() {
     SkipWhitespace();
     return pos_ >= text_.size();
   }
   size_t position() const { return pos_; }
+  /// Moves the cursor back to an earlier position() (a record start).
+  void Rewind(size_t pos) { pos_ = pos; }
   char Peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
   bool Consume(char c) {
     if (Peek() == c) {
@@ -74,6 +102,11 @@ class JsonCursor {
  private:
   Result<Item> ParseNumber();
   Status Expect(char c);
+  /// ParseString's checks without building the string.
+  Status ValidateString();
+  /// A string's body after its opening quote, through the closing
+  /// quote: decoded into *out, or only validated when `out` is null.
+  Status DecodeStringBody(std::string* out);
 
   /// Indexed helpers (require index_ != nullptr).
   size_t IndexNextQuote(size_t local_pos) const;

@@ -32,8 +32,13 @@ namespace {
 class Projector {
  public:
   Projector(JsonCursor* cursor, const std::vector<PathStep>& steps,
-            const std::function<Status(Item)>& sink, ProjectionStats* stats)
-      : cursor_(*cursor), steps_(steps), sink_(sink), stats_(stats) {}
+            const std::function<Status(Item)>& sink, ProjectionStats* stats,
+            ScanFilter* filter = nullptr)
+      : cursor_(*cursor),
+        steps_(steps),
+        sink_(sink),
+        stats_(stats),
+        filter_(filter) {}
 
   Status Project(size_t step, int depth) {
     if (depth > JsonCursor::kMaxDepth) {
@@ -64,6 +69,10 @@ class Projector {
 
  private:
   Status Emit() {
+    if (filter_ != nullptr) {
+      JPAR_ASSIGN_OR_RETURN(bool keep, TestFilter());
+      if (!keep) return Status::OK();
+    }
     JPAR_ASSIGN_OR_RETURN(Item item, cursor_.ParseValue());
     if (stats_ != nullptr) {
       ++stats_->items_emitted;
@@ -71,6 +80,61 @@ class Projector {
     }
     return sink_(std::move(item));
   }
+
+  /// Tests the record at the cursor against the scan filter. Returns
+  /// false, with the cursor past the record, only for a well-formed
+  /// object the filter rejects; otherwise rewinds to the record start,
+  /// so Emit builds it — and ParseValue, not this pass, reports any
+  /// malformation.
+  Result<bool> TestFilter() {
+    cursor_.SkipWhitespace();
+    if (cursor_.Peek() != '{') return true;
+    const size_t start = cursor_.position();
+    if (cursor_.ScanObjectFields(filter_->keys, &fields_).ok() &&
+        !Verdict()) {
+      if (filter_->dropped) JPAR_RETURN_NOT_OK(filter_->dropped());
+      return false;
+    }
+    cursor_.Rewind(start);
+    return true;
+  }
+
+  /// The filter's verdict on the fields ScanObjectFields just found,
+  /// from the memo when their raw text repeats. Leaves the cursor where
+  /// it was.
+  bool Verdict() {
+    verdict_key_.clear();
+    for (const JsonCursor::FieldSpan& f : fields_) {
+      // Length-prefixed, so absent (0) and every text are distinct.
+      const uint64_t len = f.text.size();
+      verdict_key_.append(reinterpret_cast<const char*>(&len), sizeof(len));
+      verdict_key_.append(f.text);
+    }
+    auto hit = filter_->verdicts.find(verdict_key_);
+    if (hit != filter_->verdicts.end()) return hit->second;
+    // A miss builds the slim record. Its values were validated by the
+    // walk, so re-parsing them succeeds.
+    const size_t end = cursor_.position();
+    Item::Object slim;
+    for (size_t i = 0; i < fields_.size(); ++i) {
+      if (fields_[i].text.empty()) continue;
+      cursor_.Rewind(fields_[i].begin);
+      Result<Item> value = cursor_.ParseValue(1);
+      if (!value.ok()) {
+        cursor_.Rewind(end);
+        return true;
+      }
+      slim.push_back({filter_->keys[i], *std::move(value)});
+    }
+    cursor_.Rewind(end);
+    const bool keep = filter_->keep(Item::MakeObject(std::move(slim)));
+    if (filter_->verdicts.size() >= kMaxVerdicts) filter_->verdicts.clear();
+    filter_->verdicts.emplace(verdict_key_, keep);
+    return keep;
+  }
+
+  /// Bounds the verdict memo; a full memo starts over.
+  static constexpr size_t kMaxVerdicts = 8192;
 
   Status ProjectObjectKey(const std::string& key, size_t step, int depth) {
     cursor_.Consume('{');
@@ -159,6 +223,9 @@ class Projector {
   const std::vector<PathStep>& steps_;
   const std::function<Status(Item)>& sink_;
   ProjectionStats* stats_;
+  ScanFilter* filter_;
+  std::vector<JsonCursor::FieldSpan> fields_;  // scratch of TestFilter
+  std::string verdict_key_;
 };
 
 }  // namespace
@@ -208,7 +275,8 @@ Status ProjectJsonStreamWithIndex(std::string_view text,
                                   size_t index_origin,
                                   const std::function<Status(Item)>& sink,
                                   ProjectionStats* stats,
-                                  uint64_t* skipped_records, ScanMode mode) {
+                                  uint64_t* skipped_records, ScanMode mode,
+                                  ScanFilter* filter) {
   // Stage 1 runs once per buffer; every cursor below (including the
   // per-record cursors of the degraded scan) consumes the same bitmaps.
   // A caller-provided tape replaces the Build pass; `origin` tracks the
@@ -234,7 +302,7 @@ Status ProjectJsonStreamWithIndex(std::string_view text,
     JsonCursor cursor =
         idx != nullptr ? JsonCursor(text, idx, static_cast<size_t>(origin))
                        : JsonCursor(text);
-    Projector projector(&cursor, steps, sink, stats);
+    Projector projector(&cursor, steps, sink, stats, filter);
     while (!cursor.AtEnd()) {
       JPAR_RETURN_NOT_OK(projector.Project(0, 0));
       if (stats != nullptr) ++stats->documents;
@@ -270,7 +338,7 @@ Status ProjectJsonStreamWithIndex(std::string_view text,
     if (cursor.AtEnd()) break;
     cursor.SkipWhitespace();
     size_t record_start = cursor.position();
-    Projector projector(&cursor, steps, sink, stats);
+    Projector projector(&cursor, steps, sink, stats, filter);
     if (stats != nullptr) ++stats->documents;
     Status st = projector.Project(0, 0);
     if (!st.ok()) {

@@ -5,6 +5,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -61,6 +62,34 @@ struct ProjectionStats {
   uint64_t documents = 0;  // top-level documents scanned (incl. skipped)
 };
 
+/// Filter-before-build (DESIGN.md §9): a predicate the reader tests on
+/// each selected object record before building it. The reader walks
+/// the record once, validating every value exactly as a full parse
+/// would and noting where the fields named in `keys` lie. A record is
+/// dropped — never built, never emitted, never counted in
+/// ProjectionStats — only when the predicate rejects it. For a
+/// non-object item, a record the walk rejects, or one the predicate
+/// keeps, the reader rewinds to the record start and builds it as it
+/// would without a filter, so a malformed record fails with the same
+/// status wherever it is malformed.
+///
+/// `keep` sees a "slim record": an object holding the first occurrence
+/// of each key in `keys` that the record has. It must return false only
+/// for records every consumer would drop, and it must be a pure
+/// function of the slim record: the reader memoizes verdicts in
+/// `verdicts`, keyed by the raw text of the probed values, and builds a
+/// slim record only for text it has not seen. So one ScanFilter serves
+/// one scanning thread at a time, and keeps its memo across the calls
+/// of that thread.
+struct ScanFilter {
+  std::vector<std::string> keys;
+  std::function<bool(const Item& slim)> keep;
+  /// Called once per dropped record (counters, lifecycle polls); an
+  /// error status aborts the scan like a sink error. May be empty.
+  std::function<Status()> dropped;
+  std::unordered_map<std::string, bool> verdicts;
+};
+
 /// Streams the items selected by `steps` out of a JSON document without
 /// materializing anything else: subtrees off the path are byte-skipped.
 /// This is the execution engine of the DATASCAN operator after the
@@ -115,7 +144,8 @@ Status ProjectJsonStream(std::string_view text,
 /// morsel sub-view of the file. Degraded scans still rebuild a local
 /// suffix index when a malformed record poisons the in-string mask,
 /// exactly like the tape-less path. `prebuilt` may be null (plain cold
-/// scan); kScalar mode ignores it.
+/// scan); kScalar mode ignores it. `filter`, when non-null, drops the
+/// object records it rejects before they are built (see ScanFilter).
 Status ProjectJsonStreamWithIndex(std::string_view text,
                                   const std::vector<PathStep>& steps,
                                   const StructuralIndex* prebuilt,
@@ -123,7 +153,8 @@ Status ProjectJsonStreamWithIndex(std::string_view text,
                                   const std::function<Status(Item)>& sink,
                                   ProjectionStats* stats = nullptr,
                                   uint64_t* skipped_records = nullptr,
-                                  ScanMode mode = ScanMode::kIndexed);
+                                  ScanMode mode = ScanMode::kIndexed,
+                                  ScanFilter* filter = nullptr);
 
 /// In-memory analogue of ProjectJson: walks `steps[from..]` over an
 /// already materialized item, emitting each match. Used by scans over

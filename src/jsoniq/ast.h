@@ -40,6 +40,7 @@ struct AstNode {
     kFlwor,         // clauses + return_expr
     kArrayCtor,     // [args...]
     kObjectCtor,    // {k1: v1, ...}: args alternate key-expr, value-expr
+    kSequence,      // (args...): comma operator, a flat sequence
   };
 
   Kind kind = Kind::kLiteral;

@@ -279,10 +279,24 @@ class Parser {
         return AstNode::Var(t.text);
       }
       case TokenKind::kLParen: {
+        // "()" is the empty sequence, "(e)" is e, and "(e1, e2, ...)"
+        // is the comma operator: the items of e1, then of e2, ...
         Advance();
+        if (Consume(TokenKind::kRParen)) {
+          return AstNode::Literal(Item::EmptySequence());
+        }
         JPAR_ASSIGN_OR_RETURN(AstPtr inner, ParseExpr());
+        if (Consume(TokenKind::kRParen)) return inner;
+        if (Peek().kind != TokenKind::kComma) return ErrorHere("expected ')'");
+        auto seq = std::make_shared<AstNode>();
+        seq->kind = AstNode::Kind::kSequence;
+        seq->args.push_back(std::move(inner));
+        while (Consume(TokenKind::kComma)) {
+          JPAR_ASSIGN_OR_RETURN(AstPtr item, ParseExpr());
+          seq->args.push_back(std::move(item));
+        }
         if (!Consume(TokenKind::kRParen)) return ErrorHere("expected ')'");
-        return inner;
+        return AstPtr(seq);
       }
       case TokenKind::kLBracket: {
         Advance();

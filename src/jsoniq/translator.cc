@@ -405,6 +405,14 @@ class Translator {
         }
         return LExpr::Fn(Builtin::kArrayConstructor, std::move(elems));
       }
+      case AstNode::Kind::kSequence: {
+        std::vector<LExprPtr> items;
+        for (const AstPtr& a : ast->args) {
+          JPAR_ASSIGN_OR_RETURN(LExprPtr e, TranslateScalar(a));
+          items.push_back(std::move(e));
+        }
+        return LExpr::Fn(Builtin::kSequenceConstructor, std::move(items));
+      }
       case AstNode::Kind::kObjectCtor: {
         std::vector<LExprPtr> kv;
         for (const AstPtr& a : ast->args) {

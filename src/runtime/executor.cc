@@ -29,6 +29,7 @@ struct TaskResult {
   double ms = 0;
   uint64_t bytes = 0;  // input bytes, incl. JSON parsed by expressions
   uint64_t items = 0;
+  uint64_t filtered = 0;  // of `items`: dropped by the scan filter
   uint64_t skipped = 0;
   uint64_t batches = 0;
   uint64_t blocks_pruned = 0;
@@ -218,10 +219,27 @@ class OpPipe {
   BatchSink batch_sink_;
 };
 
+/// One scan worker's filter (DESIGN.md §9): the plan's predicate over
+/// the slim record, with the worker's own evaluation scratch.
+ScanFilter WorkerScanFilter(const ScanDesc& scan) {
+  ScanFilter filter;
+  filter.keys = scan.filter_keys;
+  filter.keep = [eval = scan.filter, ctx = EvalContext{},
+                 row = Tuple(1)](const Item& slim) mutable {
+    row[0] = slim;
+    Result<Item> pass = eval->Eval(row, &ctx);
+    // Anything but a clean false is built, and the pipeline's own
+    // SELECT decides (and raises any error) as it would unfiltered.
+    return !pass.ok() || pass->boolean_value();
+  };
+  return filter;
+}
+
 /// Adds one finished task's counters to its stage and query.
 void FoldTask(const TaskResult& task, StageStats* stage, ExecStats* stats) {
   stats->bytes_scanned += task.bytes;
   stats->items_scanned += task.items;
+  stats->scan_items_filtered += task.filtered;
   stats->skipped_records += task.skipped;
   stats->batches_emitted += task.batches;
   stats->blocks_pruned += task.blocks_pruned;
@@ -835,6 +853,15 @@ Result<Executor::PartitionSet> Executor::ExecDataScan(
   std::vector<TaskResult> slots;
   // File i's morsels are tasks [first, first + count).
   std::vector<std::pair<size_t, size_t>> file_tasks(file_count);
+  // One scan filter (and verdict memo) per worker; worker 0 is also
+  // the calling thread (sequential scans, strict-mode fallbacks).
+  std::vector<ScanFilter> filters;
+  if (node.scan.filter != nullptr) {
+    filters.assign(static_cast<size_t>(pcount), WorkerScanFilter(node.scan));
+  }
+  auto filter_for = [&filters](size_t worker) {
+    return filters.empty() ? nullptr : &filters[worker];
+  };
 
   // Planning runs on the calling thread, in file order: storage-tier
   // lookups and tape builds are serialized, never raced by workers.
@@ -862,7 +889,7 @@ Result<Executor::PartitionSet> Executor::ExecDataScan(
       // scan holds one file at a time.
       ScanMorsel& m = tasks.back();
       slots.emplace_back();
-      RunMorsel(setup, m, &memory, &slots.back());
+      RunMorsel(setup, m, &memory, filter_for(0), &slots.back());
       JPAR_RETURN_NOT_OK(slots.back().status);
       m.text.reset();
       m.tape.reset();
@@ -889,7 +916,8 @@ Result<Executor::PartitionSet> Executor::ExecDataScan(
       while (!abort.load(std::memory_order_relaxed)) {
         size_t t = next_task.fetch_add(1, std::memory_order_relaxed);
         if (t >= tasks.size()) break;
-        RunMorsel(setup, tasks[t], &memory, &slots[t]);
+        RunMorsel(setup, tasks[t], &memory, filter_for(static_cast<size_t>(w)),
+                  &slots[t]);
         const Status& ts = slots[t].status;
         if (!ts.ok() && !(ts.code() == StatusCode::kParseError &&
                           tasks[t].split_file && !setup.lenient)) {
@@ -931,7 +959,7 @@ Result<Executor::PartitionSet> Executor::ExecDataScan(
       whole.begin = 0;
       whole.end = whole.text->size();
       whole.split_file = false;
-      RunMorsel(setup, whole, &memory, &slots[first]);
+      RunMorsel(setup, whole, &memory, filter_for(0), &slots[first]);
     }
     for (const Status& st : worker_status) JPAR_RETURN_NOT_OK(st);
   }
@@ -1090,7 +1118,8 @@ Status Executor::PlanFile(const ScanSetup& setup, const JsonFile& file,
 }
 
 void Executor::RunMorsel(const ScanSetup& setup, const ScanMorsel& m,
-                         MemoryTracker* memory, TaskResult* slot) const {
+                         MemoryTracker* memory, ScanFilter* filter,
+                         TaskResult* slot) const {
   auto start = Clock::now();
   slot->ran = true;
   slot->status = [&]() -> Status {
@@ -1102,13 +1131,17 @@ void Executor::RunMorsel(const ScanSetup& setup, const ScanMorsel& m,
     std::unique_ptr<ColumnBuilder> builder;
     if (m.build_column) builder = std::make_unique<ColumnBuilder>();
     // One huge NDJSON file may be a single morsel: poll the lifecycle
-    // every kCheckIntervalTuples emitted items, not only per morsel.
+    // every kCheckIntervalTuples selected items, not only per morsel.
+    auto count_item = [&]() -> Status {
+      if (++slot->items % kCheckIntervalTuples == 0) {
+        return Interrupted("pipeline");
+      }
+      return Status::OK();
+    };
     auto emit = [&](Item item) -> Status {
       if (builder != nullptr) builder->Add(item);
       if (m.build_stats) slot->path_stats.Observe(item);
-      if (++slot->items % kCheckIntervalTuples == 0) {
-        JPAR_RETURN_NOT_OK(Interrupted("pipeline"));
-      }
+      JPAR_RETURN_NOT_OK(count_item());
       return pipe.PushItem(std::move(item));
     };
     if (m.column != nullptr) {
@@ -1135,10 +1168,23 @@ void Executor::RunMorsel(const ScanSetup& setup, const ScanMorsel& m,
       view = view.substr(m.begin, m.end - m.begin);
       slot->bytes += view.size();
       ProjectionStats pstats;
+      // Filter before build (DESIGN.md §9), unless a column or stats
+      // tee needs every item, or a degraded batch scan would attach a
+      // deferred SELECT error to whichever record fills the batch.
+      const bool use_filter = filter != nullptr && !m.build_column &&
+                              !m.build_stats &&
+                              !(setup.lenient && setup.batch_mode);
+      if (use_filter) {
+        filter->dropped = [&]() -> Status {
+          ++slot->filtered;
+          return count_item();
+        };
+      }
       JPAR_RETURN_NOT_OK(ProjectJsonStreamWithIndex(
           view, scan.steps, m.tape.get(), m.begin, emit,
           m.build_stats ? &pstats : nullptr,
-          setup.lenient ? &slot->skipped : nullptr, options_.scan_mode));
+          setup.lenient ? &slot->skipped : nullptr, options_.scan_mode,
+          use_filter ? filter : nullptr));
       if (builder != nullptr) {
         StorageManager::Instance().PutColumn(m.file->path(), setup.path,
                                              builder->Finish(slot->skipped),

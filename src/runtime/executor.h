@@ -363,7 +363,7 @@ class Executor {
                   std::vector<exec_detail::ScanMorsel>* tasks) const;
   void RunMorsel(const exec_detail::ScanSetup& setup,
                  const exec_detail::ScanMorsel& morsel, MemoryTracker* memory,
-                 exec_detail::TaskResult* slot) const;
+                 ScanFilter* filter, exec_detail::TaskResult* slot) const;
   /// One partition of a non-leaf pipeline, shared by ExecPipeline and
   /// RunOps: pushes `input` through `ops` into `task`.
   void RunPipelinePartition(const std::vector<UnaryOpDesc>& ops,

@@ -81,6 +81,7 @@ int BuiltinArity(Builtin fn) {
       return 2;
     case Builtin::kArrayConstructor:
     case Builtin::kObjectConstructor:
+    case Builtin::kSequenceConstructor:
     case Builtin::kConcat:
     case Builtin::kSubstring:  // 2 or 3 args, checked at eval
       return -1;  // variadic
@@ -546,6 +547,8 @@ Result<Item> ApplyBuiltin(Builtin fn, std::vector<Item>& vals,
       }
       return Item::MakeObject(std::move(fields));
     }
+    case Builtin::kSequenceConstructor:
+      return Item::MakeSequence(std::move(vals));
     case Builtin::kConcat:
     case Builtin::kSubstring:
     case Builtin::kStringLength:
@@ -664,6 +667,8 @@ std::string_view BuiltinToString(Builtin fn) {
       return "array";
     case Builtin::kObjectConstructor:
       return "object";
+    case Builtin::kSequenceConstructor:
+      return "sequence";
     case Builtin::kConcat:
       return "concat";
     case Builtin::kSubstring:

@@ -62,6 +62,7 @@ enum class Builtin : uint8_t {
   // Constructors.
   kArrayConstructor,
   kObjectConstructor,  // args alternate key, value
+  kSequenceConstructor,  // (a, b, ...): the comma operator, flattened
   // String functions (XQuery F&O subset).
   kConcat,          // variadic
   kSubstring,       // substring(s, start[, length]) — 1-based

@@ -122,6 +122,11 @@ std::string ScanDesc::ToString() const {
           out += " [access: cold]";
           break;
       }
+      if (filter != nullptr) {
+        out += " [filter:";
+        for (const std::string& k : filter_keys) out += " \"" + k + "\"";
+        out += "]";
+      }
       if (est_rows >= 0) {
         out += " [est-rows: " + std::to_string(static_cast<int64_t>(est_rows)) +
                "]";
@@ -130,6 +135,49 @@ std::string ScanDesc::ToString() const {
     }
   }
   return "?";
+}
+
+namespace {
+
+class ChainPredicateEval : public ScalarEval {
+ public:
+  explicit ChainPredicateEval(std::vector<UnaryOpDesc> ops)
+      : ops_(std::move(ops)) {}
+
+  // RunChain's ASSIGN and SELECT steps, without its frame charges.
+  Result<Item> Eval(const Tuple& tuple, EvalContext* ctx) const override {
+    Tuple row;
+    row.reserve(tuple.size() + ops_.size());
+    row.assign(tuple.begin(), tuple.end());
+    for (const UnaryOpDesc& op : ops_) {
+      JPAR_ASSIGN_OR_RETURN(Item value, op.eval->Eval(row, ctx));
+      if (op.kind == UnaryOpDesc::Kind::kAssign) {
+        row.push_back(std::move(value));
+        continue;
+      }
+      JPAR_ASSIGN_OR_RETURN(bool keep, value.EffectiveBooleanValue());
+      if (!keep) return Item::Boolean(false);
+    }
+    return Item::Boolean(true);
+  }
+
+  std::string ToString() const override {
+    std::string out = "chain(";
+    for (size_t i = 0; i < ops_.size(); ++i) {
+      if (i > 0) out += "; ";
+      out += ops_[i].ToString();
+    }
+    return out + ")";
+  }
+
+ private:
+  std::vector<UnaryOpDesc> ops_;
+};
+
+}  // namespace
+
+ScalarEvalPtr MakeChainPredicate(std::vector<UnaryOpDesc> ops) {
+  return std::make_shared<ChainPredicateEval>(std::move(ops));
 }
 
 Status RunChain(const std::vector<UnaryOpDesc>& ops, size_t from,

@@ -131,6 +131,13 @@ struct SubplanDesc {
 Status RunChain(const std::vector<UnaryOpDesc>& ops, size_t from,
                 Tuple tuple, EvalContext* ctx, const TupleSink& sink);
 
+/// A predicate over one tuple that is true iff RunChain(`ops`) would
+/// deliver it, i.e. iff none of the chain's SELECTs drops it; errors
+/// surface exactly as RunChain raises them. `ops` are ASSIGNs and
+/// SELECTs (the fan-out of UNNEST has no single answer). This is the
+/// scan filter's predicate (ScanDesc::filter).
+ScalarEvalPtr MakeChainPredicate(std::vector<UnaryOpDesc> ops);
+
 /// Batch-at-a-time form of RunChain (DESIGN.md §13): applies the whole
 /// chain to `batch`, shrinking its selection at SELECTs, and delivers
 /// the survivors to `sink` in row order. ASSIGN/SELECT run vectorized
@@ -195,6 +202,16 @@ struct ScanDesc {
   /// runs over surviving rows, so this is purely an accelerator.
   ZoneCompare zone_op = ZoneCompare::kNone;
   double zone_value = 0;
+
+  /// Scan filter (DESIGN.md §9): the leaf pipeline's leading ASSIGNs
+  /// and SELECTs as one predicate over column 0, which reads that
+  /// column only as value($col0, k) for k in `filter_keys`. Recorded by
+  /// the physical translator when RuleOptions::scan_filter is on; the
+  /// text and tape readers test it on a slim record of just those keys
+  /// and never build the objects it rejects. The ops stay in the
+  /// pipeline, so this is purely an accelerator.
+  ScalarEvalPtr filter;
+  std::vector<std::string> filter_keys;
 
   /// Cost-model annotations (DESIGN.md §15); all advisory and
   /// answer-preserving. `morsel_bytes_hint` is honored only while

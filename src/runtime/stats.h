@@ -56,6 +56,9 @@ enum class CounterMerge : uint8_t {
   X(double, network_ms, kSum)                                                 \
   X(uint64_t, bytes_scanned, kSum)                                            \
   X(uint64_t, items_scanned, kSum)                                            \
+  /* Of items_scanned: items the scan filter dropped before building          \
+     them (RuleOptions::scan_filter, DESIGN.md §9); 0 when it is off. */      \
+  X(uint64_t, scan_items_filtered, kSum)                                      \
   X(uint64_t, result_rows, kCaller)                                           \
   X(uint64_t, peak_retained_bytes, kMax)                                      \
   /* Malformed records skipped by degraded scans                              \

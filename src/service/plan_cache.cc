@@ -17,6 +17,7 @@ std::string PlanCache::Key(std::string_view query, const RuleOptions& rules,
   key.push_back(rules.two_step_aggregation ? 'T' : 't');
   key.push_back(rules.join_rules ? 'J' : 'j');
   key.push_back(rules.index_rules ? 'I' : 'i');
+  key.push_back(rules.scan_filter ? 'F' : 'f');
   key.push_back('|');
   key += std::to_string(exec.partitions);
   key.push_back(',');

@@ -50,6 +50,26 @@ TEST(EngineTest, BookstoreJsonDocQuery) {
             "Erik T. Ray");
 }
 
+TEST(EngineTest, ParenthesizedSequences) {
+  Engine engine;
+  auto count = engine.Run("count((1,2,3))");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  ASSERT_EQ(count->items.size(), 1u);
+  EXPECT_EQ(count->items[0], Item::Int64(3));
+
+  auto loop = engine.Run("for $i in (1,2,3) return $i");
+  ASSERT_TRUE(loop.ok()) << loop.status().ToString();
+  ASSERT_EQ(loop->items.size(), 3u);
+  for (int64_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(loop->items[static_cast<size_t>(i)], Item::Int64(i + 1));
+  }
+
+  auto empty = engine.Run("count(())");
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  ASSERT_EQ(empty->items.size(), 1u);
+  EXPECT_EQ(empty->items[0], Item::Int64(0));
+}
+
 TEST(EngineTest, BookstoreCollectionQuery) {
   // Paper Listing 3.
   Engine engine = MakeBookstoreEngine();

@@ -128,6 +128,27 @@ TEST(JsoniqParserTest, ParenthesesGroup) {
   EXPECT_EQ(ast->args[0]->name, "add");
 }
 
+TEST(JsoniqParserTest, ParenthesizedSequences) {
+  AstPtr three = Parse("count((1,2,3))");
+  ASSERT_EQ(three->kind, AstNode::Kind::kFunctionCall);
+  const AstPtr& seq = three->args[0];
+  ASSERT_EQ(seq->kind, AstNode::Kind::kSequence);
+  ASSERT_EQ(seq->args.size(), 3u);
+  EXPECT_EQ(seq->args[2]->literal, Item::Int64(3));
+
+  AstPtr loop = Parse("for $i in (1, 2, 3) return $i");
+  ASSERT_EQ(loop->kind, AstNode::Kind::kFlwor);
+  EXPECT_EQ(loop->clauses[0].bindings[0].second->kind,
+            AstNode::Kind::kSequence);
+
+  AstPtr empty = Parse("count(())");
+  EXPECT_EQ(empty->args[0]->literal, Item::EmptySequence());
+  // A single parenthesized expression is still just a group.
+  EXPECT_EQ(Parse("(7)")->literal, Item::Int64(7));
+  EXPECT_FALSE(ParseQuery("(1, 2").ok());
+  EXPECT_FALSE(ParseQuery("(1,)").ok());
+}
+
 TEST(JsoniqParserTest, AllPaperQueriesParse) {
   const char* queries[] = {
       R"(json-doc("books.json")("bookstore")("book")())",
