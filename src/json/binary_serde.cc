@@ -69,6 +69,41 @@ void ItemWriter::Write(const Item& item) {
   }
 }
 
+size_t ItemWriter::EncodedSize(const Item& item) {
+  switch (item.kind()) {
+    case ItemKind::kNull:
+      return 1;
+    case ItemKind::kBoolean:
+      return 2;
+    case ItemKind::kInt64:
+      return 1 + VarintSize(ZigZag(item.int64_value()));
+    case ItemKind::kDouble:
+      return 1 + sizeof(double);
+    case ItemKind::kString:
+      return 1 + VarintSize(item.string_value().size()) +
+             item.string_value().size();
+    case ItemKind::kDateTime:
+      return 1 + sizeof(int32_t) + 5;
+    case ItemKind::kArray:
+    case ItemKind::kSequence: {
+      const Item::ItemVector& elems =
+          item.is_array() ? item.array() : item.sequence();
+      size_t total = 1 + VarintSize(elems.size());
+      for (const Item& e : elems) total += EncodedSize(e);
+      return total;
+    }
+    case ItemKind::kObject: {
+      const Item::Object& fields = item.object();
+      size_t total = 1 + VarintSize(fields.size());
+      for (const Item::Field& f : fields) {
+        total += VarintSize(f.key.size()) + f.key.size() + EncodedSize(f.value);
+      }
+      return total;
+    }
+  }
+  return 1;
+}
+
 Result<uint64_t> ItemReader::ReadVarint() {
   uint64_t v = 0;
   int shift = 0;

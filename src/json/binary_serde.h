@@ -32,6 +32,14 @@ class ItemWriter {
   void Write(const Item& item);
 
   static void AppendVarint(uint64_t v, std::string* out);
+  /// The bytes AppendVarint writes for `v`.
+  static size_t VarintSize(uint64_t v) {
+    size_t n = 1;
+    for (; v >= 0x80; v >>= 7) ++n;
+    return n;
+  }
+  /// The bytes Write appends for `item`, computed without writing them.
+  static size_t EncodedSize(const Item& item);
   static uint64_t ZigZag(int64_t v) {
     return (static_cast<uint64_t>(v) << 1) ^
            static_cast<uint64_t>(v >> 63);

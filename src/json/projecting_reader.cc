@@ -110,8 +110,9 @@ class Projector {
       verdict_key_.append(reinterpret_cast<const char*>(&len), sizeof(len));
       verdict_key_.append(f.text);
     }
-    auto hit = filter_->verdicts.find(verdict_key_);
-    if (hit != filter_->verdicts.end()) return hit->second;
+    const size_t hash = std::hash<std::string_view>()(verdict_key_);
+    const uint32_t id = filter_->verdict_keys.Find(verdict_key_, hash);
+    if (id != KeyIndex::kAbsent) return filter_->verdicts[id];
     // A miss builds the slim record. Its values were validated by the
     // walk, so re-parsing them succeeds.
     const size_t end = cursor_.position();
@@ -128,8 +129,12 @@ class Projector {
     }
     cursor_.Rewind(end);
     const bool keep = filter_->keep(Item::MakeObject(std::move(slim)));
-    if (filter_->verdicts.size() >= kMaxVerdicts) filter_->verdicts.clear();
-    filter_->verdicts.emplace(verdict_key_, keep);
+    if (filter_->verdicts.size() >= kMaxVerdicts) {
+      filter_->verdict_keys.Clear();
+      filter_->verdicts.clear();
+    }
+    filter_->verdict_keys.Insert(verdict_key_, hash);
+    filter_->verdicts.push_back(keep);
     return keep;
   }
 

@@ -5,9 +5,9 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "common/key_table.h"
 #include "common/result.h"
 #include "json/item.h"
 #include "json/structural_index.h"
@@ -76,18 +76,20 @@ struct ProjectionStats {
 /// `keep` sees a "slim record": an object holding the first occurrence
 /// of each key in `keys` that the record has. It must return false only
 /// for records every consumer would drop, and it must be a pure
-/// function of the slim record: the reader memoizes verdicts in
-/// `verdicts`, keyed by the raw text of the probed values, and builds a
-/// slim record only for text it has not seen. So one ScanFilter serves
-/// one scanning thread at a time, and keeps its memo across the calls
-/// of that thread.
+/// function of the slim record: the reader memoizes verdicts, keyed by
+/// the raw text of the probed values, and builds a slim record only for
+/// text it has not seen. So one ScanFilter serves one scanning thread
+/// at a time, and keeps its memo across the calls of that thread.
 struct ScanFilter {
   std::vector<std::string> keys;
   std::function<bool(const Item& slim)> keep;
   /// Called once per dropped record (counters, lifecycle polls); an
   /// error status aborts the scan like a sink error. May be empty.
   std::function<Status()> dropped;
-  std::unordered_map<std::string, bool> verdicts;
+  /// The verdict memo: verdicts[id] is the verdict on the probed text
+  /// that verdict_keys holds as id.
+  KeySet verdict_keys;
+  std::vector<bool> verdicts;
 };
 
 /// Streams the items selected by `steps` out of a JSON document without

@@ -14,6 +14,7 @@
 #include "json/binary_serde.h"
 #include "json/parser.h"
 #include "runtime/frame.h"
+#include "runtime/key_encoder.h"
 #include "runtime/spill.h"
 
 namespace jpar {
@@ -283,21 +284,6 @@ const char* GroupByStageName(AggStep step) {
       break;
   }
   return "group-by (hash)";
-}
-
-/// Encodes the grouping/join key of a tuple under `key_evals`.
-Status EncodeKey(const std::vector<ScalarEvalPtr>& key_evals,
-                 const Tuple& tuple, EvalContext* ctx, std::string* encoded,
-                 Tuple* key_items) {
-  encoded->clear();
-  if (key_items != nullptr) key_items->clear();
-  for (const ScalarEvalPtr& eval : key_evals) {
-    JPAR_ASSIGN_OR_RETURN(Item k, eval->Eval(tuple, ctx));
-    k.AppendGroupKeyTo(encoded);
-    encoded->push_back('\0');
-    if (key_items != nullptr) key_items->push_back(std::move(k));
-  }
-  return Status::OK();
 }
 
 struct GroupState {
@@ -1217,7 +1203,7 @@ Status Executor::RunPartitionTasks(
 
 Result<Executor::PartitionSet> Executor::Exchange(
     PartitionSet input, const std::vector<ScalarEvalPtr>& key_evals,
-    StageStats* stage, ExecStats* stats) const {
+    bool carry_keys, StageStats* stage, ExecStats* stats) const {
   const size_t pcount = static_cast<size_t>(std::max(options_.partitions, 1));
   const size_t nsrc = input.parts.size();
   auto start = Clock::now();
@@ -1227,6 +1213,7 @@ Result<Executor::PartitionSet> Executor::Exchange(
   // counts the frames that stream would ship from each tuple's encoded
   // size; no frame is materialized.
   std::vector<std::vector<std::vector<Tuple>>> streams(nsrc);
+  std::vector<std::vector<EncodedKeys>> key_streams(nsrc);
   std::vector<std::vector<FrameTally>> tallies(nsrc);
   std::vector<double> src_ms(nsrc, 0.0);
   JPAR_RETURN_NOT_OK(RunPartitionTasks(nsrc, [&](size_t src) -> Status {
@@ -1236,15 +1223,16 @@ Result<Executor::PartitionSet> Executor::Exchange(
     std::vector<std::vector<Tuple>>& to = streams[src];
     std::vector<FrameTally>& tally = tallies[src];
     to.resize(pcount);
+    if (carry_keys) key_streams[src].resize(pcount);
     tally.assign(pcount, FrameTally(options_.frame_bytes));
-    std::string encoded;
     // RouteByKey is done with tuple i once it names its destination.
-    Status st = RouteByKey(tuples, key_evals, pcount,
-                           [&](size_t dst, size_t i) {
-                             encoded.clear();
-                             tally[dst].Add(AppendTupleTo(tuples[i], &encoded));
-                             to[dst].push_back(std::move(tuples[i]));
-                           });
+    Status st = RouteByKey(
+        tuples, key_evals, pcount,
+        [&](size_t dst, size_t i, std::string_view key, size_t hash) {
+          tally[dst].Add(EncodedTupleSize(tuples[i]));
+          to[dst].push_back(std::move(tuples[i]));
+          if (carry_keys) key_streams[src][dst].Append(key, hash);
+        });
     src_ms[src] = ElapsedMs(src_start);
     std::vector<Tuple>().swap(tuples);
     return st;
@@ -1278,6 +1266,7 @@ Result<Executor::PartitionSet> Executor::Exchange(
   // order, so partition contents and order do not depend on threading.
   PartitionSet output;
   output.parts.resize(pcount);
+  if (carry_keys) output.keys.resize(pcount);
   std::vector<double> dst_ms(pcount, 0.0);
   JPAR_RETURN_NOT_OK(RunPartitionTasks(pcount, [&](size_t dst) -> Status {
     auto dst_start = Clock::now();
@@ -1289,6 +1278,7 @@ Result<Executor::PartitionSet> Executor::Exchange(
       std::vector<Tuple>& in = streams[src][dst];
       out.insert(out.end(), std::make_move_iterator(in.begin()),
                  std::make_move_iterator(in.end()));
+      if (carry_keys) output.keys[dst].Take(std::move(key_streams[src][dst]));
     }
     dst_ms[dst] = ElapsedMs(dst_start);
     for (size_t src = 0; src < nsrc; ++src) {
@@ -1371,7 +1361,7 @@ Result<Executor::PartitionSet> Executor::ExecGroupBy(
   global_stage.name = GroupByStageName(step);
   JPAR_ASSIGN_OR_RETURN(PartitionSet exchanged,
                         Exchange(std::move(input), GroupKeyEvals(node, step),
-                                 &global_stage, stats));
+                                 /*carry_keys=*/false, &global_stage, stats));
   // The hard-limit mode deliberately never releases between global
   // partitions (it emulates all partitions resident at once, which is
   // what Table 3 measures); the budgeted mode governs each partition
@@ -1393,7 +1383,7 @@ Status Executor::AggregatePartition(const PNode& node, AggStep step,
   EvalContext ctx;
   ctx.catalog = catalog_;
   ctx.memory = memory;
-  const std::vector<ScalarEvalPtr> keys = GroupKeyEvals(node, step);
+  const KeyEncoder keys(GroupKeyEvals(node, step));
   const size_t nkeys = node.keys.size();
   // Pre-spilling semantics kept exactly when disabled: the local stage
   // never tracked aggregate growth (incremental partials are O(1)); with
@@ -1409,7 +1399,7 @@ Status Executor::AggregatePartition(const PNode& node, AggStep step,
     if (++processed % kCheckIntervalTuples == 0) {
       JPAR_RETURN_NOT_OK(Interrupted("group-by build"));
     }
-    JPAR_RETURN_NOT_OK(EncodeKey(keys, tuple, &ctx, &encoded, &key_items));
+    JPAR_RETURN_NOT_OK(keys.Encode(tuple, &ctx, &encoded, &key_items));
     JPAR_RETURN_NOT_OK(
         table.Add(encoded, key_items, [&](size_t i) -> Result<Item> {
           if (step == AggStep::kGlobal) {
@@ -1425,29 +1415,28 @@ Status Executor::AggregatePartition(const PNode& node, AggStep step,
 Status Executor::JoinOnePartition(const PNode& node,
                                   const std::vector<Tuple>& left,
                                   const std::vector<Tuple>& right,
+                                  const EncodedKeys& left_keys,
+                                  const EncodedKeys& right_keys,
                                   EvalContext* ctx, MemoryTracker* memory,
                                   std::vector<Tuple>* out) const {
-  std::unordered_map<std::string, std::vector<size_t>> table;
-  std::string encoded;
   // Cost-model flip (DESIGN.md §15): hash the estimated-smaller side.
   // Output order must not depend on the choice — see the index-pair
   // sort below — because distributed workers may compile the same
   // query against different stats.
   const bool build_left = node.build_left;
   const std::vector<Tuple>& build = build_left ? left : right;
-  const std::vector<ScalarEvalPtr>& build_keys =
-      build_left ? node.left_keys : node.right_keys;
+  const EncodedKeys& build_keys = build_left ? left_keys : right_keys;
+  JoinTable table(&build_keys);
   for (size_t i = 0; i < build.size(); ++i) {
     if ((i + 1) % kCheckIntervalTuples == 0) {
       JPAR_RETURN_NOT_OK(Interrupted("join build"));
     }
-    JPAR_RETURN_NOT_OK(EncodeKey(build_keys, build[i], ctx, &encoded,
-                                 nullptr));
-    table[encoded].push_back(i);
+    table.Add();
     JPAR_RETURN_NOT_OK(Fault(FaultInjector::kAllocFail));
-    JPAR_RETURN_NOT_OK(
-        memory->Allocate(TupleSizeBytes(build[i]) + encoded.size()));
+    JPAR_RETURN_NOT_OK(memory->Allocate(TupleSizeBytes(build[i]) +
+                                        build_keys.key(i).size()));
   }
+  table.Seal();
   auto emit = [&](const Tuple& l, const Tuple& r) -> Status {
     Tuple joined = l;
     joined.insert(joined.end(), r.begin(), r.end());
@@ -1459,38 +1448,31 @@ Status Executor::JoinOnePartition(const PNode& node,
     out->push_back(std::move(joined));
     return Status::OK();
   };
-  uint64_t probed = 0;
   if (!build_left) {
     // Canonical: probe with the left side, in order.
-    for (const Tuple& probe : left) {
-      if (++probed % kCheckIntervalTuples == 0) {
+    for (size_t l = 0; l < left.size(); ++l) {
+      if ((l + 1) % kCheckIntervalTuples == 0) {
         JPAR_RETURN_NOT_OK(Interrupted("join probe"));
       }
-      JPAR_RETURN_NOT_OK(
-          EncodeKey(node.left_keys, probe, ctx, &encoded, nullptr));
-      auto it = table.find(encoded);
-      if (it == table.end()) continue;
-      for (size_t i : it->second) {
-        JPAR_RETURN_NOT_OK(emit(probe, right[i]));
+      for (uint32_t r : table.Rows(left_keys.key(l), left_keys.hash(l))) {
+        JPAR_RETURN_NOT_OK(emit(left[l], right[r]));
       }
     }
     return Status::OK();
   }
   // Flipped build: probe with the right side collecting (left, right)
   // index pairs, then sort them. The canonical loop emits pairs in
-  // lexicographic (left index, right index) order — bucket vectors hold
-  // ascending indices — so the sorted pairs materialize the exact same
+  // lexicographic (left index, right index) order — each key's rows
+  // come out ascending — so the sorted pairs materialize the exact same
   // output sequence with the hash table on the smaller side.
   std::vector<std::pair<size_t, size_t>> matches;
   for (size_t r = 0; r < right.size(); ++r) {
-    if (++probed % kCheckIntervalTuples == 0) {
+    if ((r + 1) % kCheckIntervalTuples == 0) {
       JPAR_RETURN_NOT_OK(Interrupted("join probe"));
     }
-    JPAR_RETURN_NOT_OK(
-        EncodeKey(node.right_keys, right[r], ctx, &encoded, nullptr));
-    auto it = table.find(encoded);
-    if (it == table.end()) continue;
-    for (size_t l : it->second) matches.emplace_back(l, r);
+    for (uint32_t l : table.Rows(right_keys.key(r), right_keys.hash(r))) {
+      matches.emplace_back(l, r);
+    }
   }
   std::sort(matches.begin(), matches.end());
   uint64_t emitted = 0;
@@ -1508,14 +1490,16 @@ Result<Executor::PartitionSet> Executor::ExecJoin(const PNode& node,
   JPAR_ASSIGN_OR_RETURN(PartitionSet left, Exec(*node.left, stats));
   JPAR_ASSIGN_OR_RETURN(PartitionSet right, Exec(*node.right, stats));
 
+  // Each side's keys are encoded once, to route it; the exchange hands
+  // them to the join beside the tuples.
   StageStats stage;
   stage.name = "hash-join";
-  JPAR_ASSIGN_OR_RETURN(
-      PartitionSet left_ex,
-      Exchange(std::move(left), node.left_keys, &stage, stats));
-  JPAR_ASSIGN_OR_RETURN(
-      PartitionSet right_ex,
-      Exchange(std::move(right), node.right_keys, &stage, stats));
+  JPAR_ASSIGN_OR_RETURN(PartitionSet left_ex,
+                        Exchange(std::move(left), node.left_keys,
+                                 /*carry_keys=*/true, &stage, stats));
+  JPAR_ASSIGN_OR_RETURN(PartitionSet right_ex,
+                        Exchange(std::move(right), node.right_keys,
+                                 /*carry_keys=*/true, &stage, stats));
 
   // Hash joins cannot spill yet; with spilling enabled the build side
   // overruns the budget softly instead of failing the query
@@ -1524,8 +1508,6 @@ Result<Executor::PartitionSet> Executor::ExecJoin(const PNode& node,
   // threads, all concurrent partitions' with them.
   MemoryTracker memory(options_.memory_limit_bytes,
                        options_.spill == SpillMode::kEnabled);
-  // Keys were evaluated against pre-exchange column positions; the
-  // exchanged tuples preserve layout, so re-evaluate the same evals.
   const size_t n = left_ex.parts.size();
   stage.partition_ms.assign(n, 0.0);
   PartitionSet output;
@@ -1540,7 +1522,8 @@ Result<Executor::PartitionSet> Executor::ExecJoin(const PNode& node,
     // local one.
     std::vector<Tuple> out;
     Status st = JoinOnePartition(node, left_ex.parts[p], right_ex.parts[p],
-                                 &ctx, &task_memory, &out);
+                                 left_ex.keys[p], right_ex.keys[p], &ctx,
+                                 &task_memory, &out);
     output.parts[p] = std::move(out);
     task_memory.ReleaseAll();
     stage.partition_ms[p] = ElapsedMs(start);
@@ -1840,11 +1823,24 @@ Result<std::vector<Tuple>> Executor::JoinPartition(
   StageStats stage;
   stage.name = "hash-join";
   auto start = Clock::now();
+  // Each tuple's key, encoded once as the in-process exchange encodes
+  // it; left keys first, as the in-process join routes them.
+  EncodedKeys left_keys, right_keys;
+  auto collect = [](EncodedKeys* keys) {
+    return [keys](size_t, size_t, std::string_view key, size_t hash) {
+      keys->Append(key, hash);
+    };
+  };
+  JPAR_RETURN_NOT_OK(
+      RouteByKey(left, node.left_keys, 1, collect(&left_keys)));
+  JPAR_RETURN_NOT_OK(
+      RouteByKey(right, node.right_keys, 1, collect(&right_keys)));
   EvalContext ctx;
   ctx.catalog = catalog_;
   ctx.memory = &memory;
   std::vector<Tuple> out;
-  JPAR_RETURN_NOT_OK(JoinOnePartition(node, left, right, &ctx, &memory, &out));
+  JPAR_RETURN_NOT_OK(JoinOnePartition(node, left, right, left_keys,
+                                      right_keys, &ctx, &memory, &out));
   memory.ReleaseAll();
   NotePeak(memory, stats);
   stage.partition_ms.assign(1, ElapsedMs(start));
@@ -1870,21 +1866,21 @@ Result<std::vector<Tuple>> Executor::RunOps(
   return std::move(task.out);
 }
 
-Status Executor::RouteByKey(
-    const std::vector<Tuple>& input,
-    const std::vector<ScalarEvalPtr>& key_evals, size_t fanout,
-    const std::function<void(size_t, size_t)>& route) const {
+Status Executor::RouteByKey(const std::vector<Tuple>& input,
+                            const std::vector<ScalarEvalPtr>& key_evals,
+                            size_t fanout, const RouteFn& route) const {
   EvalContext ctx;
   ctx.catalog = catalog_;
+  const KeyEncoder encoder(key_evals);
   std::hash<std::string> hasher;
   std::string encoded;
   for (size_t i = 0; i < input.size(); ++i) {
     if ((i + 1) % kCheckIntervalTuples == 0) {
       JPAR_RETURN_NOT_OK(Interrupted("exchange"));
     }
-    JPAR_RETURN_NOT_OK(
-        EncodeKey(key_evals, input[i], &ctx, &encoded, nullptr));
-    route(hasher(encoded) % fanout, i);
+    JPAR_RETURN_NOT_OK(encoder.Encode(input[i], &ctx, &encoded));
+    const size_t hash = hasher(encoded);
+    route(hash % fanout, i, encoded, hash);
   }
   return Status::OK();
 }
@@ -1896,7 +1892,9 @@ Result<std::vector<std::vector<Tuple>>> Executor::HashPartition(
       static_cast<size_t>(std::max(fanout, 1)));
   JPAR_RETURN_NOT_OK(RouteByKey(
       input, key_evals, buckets.size(),
-      [&](size_t dst, size_t i) { buckets[dst].push_back(input[i]); }));
+      [&](size_t dst, size_t i, std::string_view, size_t) {
+        buckets[dst].push_back(input[i]);
+      }));
   return buckets;
 }
 

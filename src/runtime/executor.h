@@ -4,8 +4,10 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/key_table.h"
 #include "common/result.h"
 #include "json/structural_index.h"
 #include "stats/collection_stats.h"
@@ -344,6 +346,9 @@ class Executor {
  private:
   struct PartitionSet {
     std::vector<std::vector<Tuple>> parts;
+    /// keys[p][i]: the encoded key of parts[p][i], when an exchange
+    /// carried keys; empty otherwise.
+    std::vector<EncodedKeys> keys;
   };
 
   Result<PartitionSet> Exec(const PNode& node, ExecStats* stats) const;
@@ -386,12 +391,16 @@ class Executor {
                                              ExecStats* stats) const;
   Result<PartitionSet> ExecJoin(const PNode& node, ExecStats* stats) const;
   /// One partition of the hash join, shared by ExecJoin and
-  /// JoinPartition. Canonically builds right / probes left; with
-  /// node.build_left the hash table is built over the left side and an
-  /// index-pair sort restores the canonical emit order, so the output
-  /// bytes are identical either way (DESIGN.md §15).
+  /// JoinPartition, over each side's tuples and their encoded keys (in
+  /// the same order); it evaluates no key itself. Canonically builds
+  /// right / probes left; with node.build_left the hash table is built
+  /// over the left side and an index-pair sort restores the canonical
+  /// emit order, so the output bytes are identical either way
+  /// (DESIGN.md §15).
   Status JoinOnePartition(const PNode& node, const std::vector<Tuple>& left,
-                          const std::vector<Tuple>& right, EvalContext* ctx,
+                          const std::vector<Tuple>& right,
+                          const EncodedKeys& left_keys,
+                          const EncodedKeys& right_keys, EvalContext* ctx,
                           MemoryTracker* memory,
                           std::vector<Tuple>* out) const;
   Result<PartitionSet> ExecSort(const PNode& node, ExecStats* stats) const;
@@ -410,17 +419,24 @@ class Executor {
   /// order; no frame is built. The frame and byte counters in `stage`
   /// and the modeled network time come from each tuple's encoded size
   /// under the FrameTally packing rule, so they equal what a frame-
-  /// encoding exchange would report, byte for byte.
+  /// encoding exchange would report, byte for byte. With `carry_keys`
+  /// the output's `keys` hold each tuple's encoded key and hash as
+  /// routing computed them.
   Result<PartitionSet> Exchange(PartitionSet input,
                                 const std::vector<ScalarEvalPtr>& key_evals,
-                                StageStats* stage, ExecStats* stats) const;
-  /// The routing rule of Exchange and HashPartition: calls route(b, i)
-  /// for each tuple i of `input`, with bucket b = std::hash(encoded
-  /// key) % fanout. Tuple i is not read again once routed.
+                                bool carry_keys, StageStats* stage,
+                                ExecStats* stats) const;
+  /// route(b, i, key, hash): tuple i's encoded key and its hash go to
+  /// bucket b; `key` is valid only during the call.
+  using RouteFn =
+      std::function<void(size_t, size_t, std::string_view, size_t)>;
+  /// The routing rule of Exchange, HashPartition and JoinPartition:
+  /// encodes each tuple i of `input` once (KeyEncoder) and calls route
+  /// with bucket b = std::hash(encoded key) % fanout. Tuple i is not
+  /// read again once routed.
   Status RouteByKey(const std::vector<Tuple>& input,
                     const std::vector<ScalarEvalPtr>& key_evals,
-                    size_t fanout,
-                    const std::function<void(size_t, size_t)>& route) const;
+                    size_t fanout, const RouteFn& route) const;
 
   int NodeOfPartition(int p) const {
     return p / (options_.partitions_per_node > 0

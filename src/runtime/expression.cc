@@ -113,39 +113,43 @@ Result<Item> Atomize(const Item& item) {
                            std::string(ItemKindToString(item.kind())));
 }
 
+/// Whether three-way result `c` satisfies comparison builtin `fn`.
+Result<bool> CompareHit(Builtin fn, int c) {
+  switch (fn) {
+    case Builtin::kEq:
+      return c == 0;
+    case Builtin::kNe:
+      return c != 0;
+    case Builtin::kLt:
+      return c < 0;
+    case Builtin::kLe:
+      return c <= 0;
+    case Builtin::kGt:
+      return c > 0;
+    case Builtin::kGe:
+      return c >= 0;
+    default:
+      return Status::Internal("not a comparison builtin");
+  }
+}
+
 /// General comparison with XQuery existential sequence semantics: true
 /// iff some pair of members (lhs x rhs) satisfies the comparison;
 /// incomparable member types are a dynamic error.
 Result<Item> GeneralCompare(Builtin fn, const Item& lhs, const Item& rhs) {
+  if (!lhs.is_sequence() && !rhs.is_sequence()) {
+    // The one pair, compared in place.
+    JPAR_ASSIGN_OR_RETURN(int c, lhs.Compare(rhs));
+    JPAR_ASSIGN_OR_RETURN(bool hit, CompareHit(fn, c));
+    return Item::Boolean(hit);
+  }
   std::vector<Item> left, right;
   ExpandSequence(lhs, &left);
   ExpandSequence(rhs, &right);
   for (const Item& a : left) {
     for (const Item& b : right) {
       JPAR_ASSIGN_OR_RETURN(int c, a.Compare(b));
-      bool hit = false;
-      switch (fn) {
-        case Builtin::kEq:
-          hit = c == 0;
-          break;
-        case Builtin::kNe:
-          hit = c != 0;
-          break;
-        case Builtin::kLt:
-          hit = c < 0;
-          break;
-        case Builtin::kLe:
-          hit = c <= 0;
-          break;
-        case Builtin::kGt:
-          hit = c > 0;
-          break;
-        case Builtin::kGe:
-          hit = c >= 0;
-          break;
-        default:
-          return Status::Internal("not a comparison builtin");
-      }
+      JPAR_ASSIGN_OR_RETURN(bool hit, CompareHit(fn, c));
       if (hit) return Item::Boolean(true);
     }
   }

@@ -12,6 +12,12 @@ size_t AppendTupleTo(const Tuple& tuple, std::string* out) {
   return out->size() - start;
 }
 
+size_t EncodedTupleSize(const Tuple& tuple) {
+  size_t total = ItemWriter::VarintSize(tuple.size());
+  for (const Item& item : tuple) total += ItemWriter::EncodedSize(item);
+  return total;
+}
+
 size_t FrameBuilder::Append(const Tuple& tuple) {
   size_t encoded = AppendTupleTo(tuple, &current_.bytes);
   ++current_.tuple_count;

@@ -23,6 +23,9 @@ struct Frame {
 /// Serializes `tuple` and appends it to `out`; returns the encoded size.
 size_t AppendTupleTo(const Tuple& tuple, std::string* out);
 
+/// The size AppendTupleTo would return for `tuple`, without encoding it.
+size_t EncodedTupleSize(const Tuple& tuple);
+
 /// The frame-packing rule of one exchange stream, without the bytes:
 /// tuples go into the open frame back to back, and the frame is sealed
 /// once it holds at least `target_bytes`. A tuple larger than

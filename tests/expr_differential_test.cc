@@ -231,6 +231,102 @@ TEST(ExprDifferentialTest, FusedKernelShapesAgree) {
   }
 }
 
+// The existential loop of XQuery general comparison, written out: the
+// reference for GeneralCompareOp, whose non-sequence operands take a
+// direct path.
+Result<Item> ReferenceCompare(Builtin fn, const Item& lhs, const Item& rhs) {
+  auto members = [](const Item& x) {
+    return x.is_sequence() ? x.sequence() : Item::ItemVector{x};
+  };
+  for (const Item& a : members(lhs)) {
+    for (const Item& b : members(rhs)) {
+      JPAR_ASSIGN_OR_RETURN(int c, a.Compare(b));
+      bool hit = fn == Builtin::kEq   ? c == 0
+                 : fn == Builtin::kNe ? c != 0
+                 : fn == Builtin::kLt ? c < 0
+                 : fn == Builtin::kLe ? c <= 0
+                 : fn == Builtin::kGt ? c > 0
+                                      : c >= 0;
+      if (hit) return Item::Boolean(true);
+    }
+  }
+  return Item::Boolean(false);
+}
+
+TEST(ExprDifferentialTest, GeneralCompareMatchesExistentialReference) {
+  const std::vector<Item> operands = {
+      Item::Null(),
+      Item::Boolean(true),
+      Item::Int64(1),
+      Item::Double(1.0),
+      Item::Double(2.5),
+      Item::String("a"),
+      Item::String("b"),
+      Item::DateTime(*ParseDateTime("2013-12-25T00:00")),
+      Item::MakeArray({Item::Int64(1)}),
+      Item::MakeObject({}),
+      Item::EmptySequence(),
+      Item::MakeSequence({Item::Int64(1), Item::Int64(3)}),
+      Item::MakeSequence({Item::String("a"), Item::Int64(3)}),
+  };
+  for (Builtin fn : {Builtin::kEq, Builtin::kNe, Builtin::kLt, Builtin::kLe,
+                     Builtin::kGt, Builtin::kGe}) {
+    for (const Item& a : operands) {
+      for (const Item& b : operands) {
+        SCOPED_TRACE(std::string(BuiltinToString(fn)) + "(" +
+                     a.ToJsonString() + ", " + b.ToJsonString() + ")");
+        Result<Item> got = GeneralCompareOp(fn, a, b);
+        Result<Item> want = ReferenceCompare(fn, a, b);
+        ASSERT_EQ(got.ok(), want.ok());
+        if (got.ok()) {
+          EXPECT_EQ(got->ToJsonString(), want->ToJsonString());
+        } else {
+          EXPECT_EQ(got.status().ToString(), want.status().ToString());
+        }
+      }
+    }
+  }
+}
+
+TEST(ExprDifferentialTest, IncomparableOperandsKeepTheirErrorText) {
+  // The error text is part of the contract: tree and bytecode must both
+  // raise it, for scalar and for sequence operands alike.
+  auto compare = [](Builtin fn, Item lhs, Item rhs) {
+    auto made = MakeFunctionEval(fn, {MakeConstantEval(std::move(lhs)),
+                                      MakeConstantEval(std::move(rhs))});
+    EXPECT_TRUE(made.ok());
+    return *made;
+  };
+  struct Case {
+    ScalarEvalPtr tree;
+    const char* text;
+  };
+  const Case cases[] = {
+      {compare(Builtin::kEq, Item::Int64(1), Item::String("1")),
+       "TypeError: cannot compare integer with string"},
+      {compare(Builtin::kLt, Item::String("x"), Item::Boolean(false)),
+       "TypeError: cannot compare string with boolean"},
+      {compare(Builtin::kGe, Item::Null(), Item::Null()),
+       "TypeError: cannot compare null with null"},
+      {compare(Builtin::kNe, Item::MakeObject({}), Item::Double(2)),
+       "TypeError: cannot compare object with double"},
+      {compare(Builtin::kGt,
+               Item::MakeSequence({Item::Int64(0), Item::String("s")}),
+               Item::Int64(5)),
+       "TypeError: cannot compare string with integer"},
+  };
+  TupleBatch batch = RandomBatch(1, 1, 4);
+  std::vector<uint32_t> all = {0, 1, 2, 3};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.tree->ToString());
+    EvalContext ctx;
+    Result<Item> out = c.tree->Eval(Tuple{Item::Null()}, &ctx);
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().ToString(), c.text);
+    CheckTreeVsBytecode(c.tree, batch, all);
+  }
+}
+
 TEST(ExprDifferentialTest, CompileIsShapeDriven) {
   // Every maker-built tree is compilable; an opaque node anywhere makes
   // the whole program nullptr (stays on the tree interpreter).

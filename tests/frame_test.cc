@@ -182,5 +182,81 @@ TEST(FrameTest, TallyMatchesBuiltFramesOnRandomStreams) {
   }
 }
 
+// A random item of every kind, nested up to `depth` levels. Lengths,
+// counts and integers cluster around the varint boundaries.
+Item RandomItem(std::mt19937* rng, int depth) {
+  auto pick = [&](int n) {
+    return static_cast<int>(std::uniform_int_distribution<int>(0, n - 1)(*rng));
+  };
+  auto edge_size = [&]() -> size_t {
+    static constexpr size_t kSizes[] = {0, 1, 127, 128, 200, 16383, 16384};
+    return kSizes[pick(7)];
+  };
+  switch (pick(depth > 0 ? 9 : 6)) {
+    case 0:
+      return Item::Null();
+    case 1:
+      return Item::Boolean(pick(2) == 1);
+    case 2: {
+      static constexpr int64_t kInts[] = {0,     -1,     63,      64,
+                                          -64,   -65,    8191,    8192,
+                                          INT64_MAX, INT64_MIN, 123456789};
+      return Item::Int64(kInts[pick(11)]);
+    }
+    case 3:
+      return Item::Double(pick(1000) / 7.0);
+    case 4:
+      return Item::String(std::string(edge_size(), 'a' + pick(26)));
+    case 5: {
+      DateTimeValue dt;
+      dt.year = 1990 + pick(40);
+      return Item::DateTime(dt);
+    }
+    case 6:
+    case 7: {
+      // Wide containers only one level down, to bound the tuple size.
+      size_t n = depth > 1 ? static_cast<size_t>(pick(4)) : edge_size() % 200;
+      Item::ItemVector elems;
+      for (size_t i = 0; i < n; ++i) {
+        elems.push_back(RandomItem(rng, depth - 1));
+      }
+      return pick(2) == 0 ? Item::MakeArray(std::move(elems))
+                          : Item::MakeSequence(std::move(elems));
+    }
+    default: {
+      Item::Object fields;
+      for (int i = pick(5); i > 0; --i) {
+        fields.push_back(
+            {std::string(edge_size() % 200, 'k'), RandomItem(rng, depth - 1)});
+      }
+      return Item::MakeObject(std::move(fields));
+    }
+  }
+}
+
+TEST(FrameTest, EncodedTupleSizeMatchesAppendTupleTo) {
+  std::mt19937 rng(20260418);
+  std::vector<Tuple> tuples = {
+      {},
+      Tuple(127, Item::Null()),  // the arity varint's boundary
+      Tuple(128, Item::Int64(64)),
+      {Item::String(std::string(1 << 20, 'x'))},  // a long string
+  };
+  for (int i = 0; i < 400; ++i) {
+    Tuple t;
+    for (int c = static_cast<int>(rng() % 6); c > 0; --c) {
+      t.push_back(RandomItem(&rng, 3));
+    }
+    tuples.push_back(std::move(t));
+  }
+  std::string bytes;
+  for (const Tuple& t : tuples) {
+    bytes.clear();
+    size_t written = AppendTupleTo(t, &bytes);
+    ASSERT_EQ(written, bytes.size());
+    EXPECT_EQ(EncodedTupleSize(t), written);
+  }
+}
+
 }  // namespace
 }  // namespace jpar
