@@ -145,6 +145,8 @@ class KeySet {
     if (found.second) keys_.Append(key, hash);
     return found;
   }
+  /// The bytes of the key with id `id` (< size()).
+  std::string_view key(uint32_t id) const { return keys_.key(id); }
   void Clear() {
     index_.Clear();
     keys_ = EncodedKeys();

@@ -105,16 +105,8 @@ class Builder {
     {
       FragmentStage& prod = plan_.stages[static_cast<size_t>(producer)];
       if (two_step) prod.local_groupby = &node;
-      // After local pre-aggregation the key occupies columns
-      // [0, nkeys) — exactly the in-process exchange-key choice.
-      if (two_step) {
-        for (size_t i = 0; i < node.keys.size(); ++i) {
-          prod.shuffle_keys.push_back(
-              MakeColumnEval(static_cast<int>(i)));
-        }
-      } else {
-        prod.shuffle_keys = node.keys;
-      }
+      prod.shuffle_keys = Executor::GroupKeyEvals(
+          node, two_step ? AggStep::kGlobal : AggStep::kComplete);
       prod.shuffled = true;
     }
     FragmentStage merge;

@@ -126,8 +126,10 @@ Result<std::vector<std::vector<Tuple>>> WorkerServer::ExecuteStage(
                           executor.RunSubtree(*stage.core_node, stats));
   } else if (stage.core == FragmentStage::Core::kGroupByMerge) {
     JPAR_ASSIGN_OR_RETURN(
-        tuples, executor.GroupByGlobal(*stage.core_node, inputs[0],
-                                       stage.from_partials, stats));
+        tuples, executor.GroupByFragment(
+                    *stage.core_node,
+                    stage.from_partials ? AggStep::kGlobal : AggStep::kComplete,
+                    inputs[0], stats));
   } else {
     JPAR_ASSIGN_OR_RETURN(
         tuples, executor.JoinPartition(*stage.core_node, inputs[0],
@@ -139,7 +141,8 @@ Result<std::vector<std::vector<Tuple>>> WorkerServer::ExecuteStage(
   }
   if (stage.local_groupby != nullptr) {
     JPAR_ASSIGN_OR_RETURN(
-        tuples, executor.GroupByLocal(*stage.local_groupby, tuples, stats));
+        tuples, executor.GroupByFragment(*stage.local_groupby,
+                                         AggStep::kLocal, tuples, stats));
   }
   if (stage.shuffled) {
     if (req.fanout <= 0) {

@@ -8,7 +8,6 @@
 #include <functional>
 #include <iterator>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "json/binary_serde.h"
@@ -124,11 +123,12 @@ Status EmitColumn(const ColumnData& column, const ScanDesc& scan,
 /// each tuple through RunChain. Batch mode (DESIGN.md §13) accumulates
 /// scan items / input tuples into a TupleBatch and runs the whole chain
 /// per batch via RunBatchChain. Survivors are materialized once at the
-/// pipeline boundary, where one frame serialization per emitted tuple
-/// is charged (the pipeline's real output write) — the per-operator
-/// boundary charges of the tuple path are exactly the work
-/// vectorization removes, so batch mode runs its EvalContext with
-/// charge_boundaries off. Output and counters land in `task`.
+/// pipeline boundary, where each emitted tuple's frame size is counted
+/// (EncodedTupleSize: the bytes the pipeline's output write would take,
+/// without writing them) — the per-operator boundary serializations of
+/// the tuple path are exactly the work vectorization removes, so batch
+/// mode runs its EvalContext with charge_boundaries off. Output and
+/// counters land in `task`.
 class OpPipe {
  public:
   OpPipe(const std::vector<UnaryOpDesc>& ops, const Catalog* catalog,
@@ -198,8 +198,7 @@ class OpPipe {
   Status Emit(TupleBatch& b) {
     for (uint32_t row : b.selection()) {
       Tuple t = b.MaterializeRow(row);
-      ctx_.frame_scratch.clear();
-      size_t encoded = AppendTupleTo(t, &ctx_.frame_scratch);
+      const size_t encoded = EncodedTupleSize(t);
       ctx_.boundary_bytes += encoded;
       ++ctx_.boundary_tuples;
       if (encoded > ctx_.max_tuple_bytes) ctx_.max_tuple_bytes = encoded;
@@ -263,17 +262,6 @@ void NoteSpill(const SpillManager* spill, uint64_t merge_passes,
   stats->spill_merge_passes += merge_passes;
 }
 
-/// The key a group-by stage hashes and groups on: node.keys over raw
-/// tuples, or columns [0, nkeys) over two-step partials (kGlobal).
-std::vector<ScalarEvalPtr> GroupKeyEvals(const PNode& node, AggStep step) {
-  if (step != AggStep::kGlobal) return node.keys;
-  std::vector<ScalarEvalPtr> columns;
-  for (size_t i = 0; i < node.keys.size(); ++i) {
-    columns.push_back(MakeColumnEval(static_cast<int>(i)));
-  }
-  return columns;
-}
-
 const char* GroupByStageName(AggStep step) {
   switch (step) {
     case AggStep::kLocal:
@@ -289,6 +277,13 @@ const char* GroupByStageName(AggStep step) {
 struct GroupState {
   Tuple key_items;
   std::vector<std::unique_ptr<Aggregator>> aggs;
+};
+
+/// Groups keyed by their encoded key; ids, dense in order of first
+/// appearance, index `states`.
+struct GroupMap {
+  KeySet keys;
+  std::vector<GroupState> states;
 };
 
 /// Salted FNV-1a over the encoded group key. Bucket routing must NOT
@@ -310,8 +305,9 @@ uint64_t SpillHash(std::string_view key, uint32_t salt) {
 /// fanout^6 sub-buckets is far beyond any realistic collision pile-up.
 constexpr int kMaxSpillDepth = 6;
 
-/// Hash-aggregation table for one group-by partition task. With
-/// `spill` null it reproduces the pre-spilling fail-fast behavior
+/// Hash-aggregation table for one group-by partition task, over a
+/// GroupMap: in memory, groups come out in order of first appearance.
+/// With `spill` null it reproduces the pre-spilling fail-fast behavior
 /// exactly (same Fault/Allocate points, same charges). With a
 /// SpillManager it is memory-governed: when the partition's tracked
 /// bytes exceed `budget`, the table is hash-partitioned into `fanout`
@@ -334,35 +330,21 @@ class SpillableGroupTable {
         budget_(budget),
         merge_passes_(merge_passes) {}
 
-  /// Folds one input tuple into the group keyed by `encoded`.
-  /// `value_of(i)` produces the Step input for aggregator i.
-  Status Add(const std::string& encoded, const Tuple& key_items,
+  /// Folds one tuple into the group of `key` (hashed `hash`): `key_items`
+  /// fills a new group's key items, `value_of(i)` aggregator i's input.
+  Status Add(std::string_view key, size_t hash,
+             const std::function<Status(Tuple*)>& key_items,
              const std::function<Result<Item>(size_t)>& value_of) {
-    auto [it, inserted] = table_.try_emplace(encoded);
-    if (inserted) {
-      it->second.key_items = key_items;
-      JPAR_RETURN_NOT_OK(FaultAt(FaultInjector::kAllocFail));
-      uint64_t charge = encoded.size() + 64;
-      JPAR_RETURN_NOT_OK(memory_->Allocate(charge));
-      allocated_ += charge;
-      for (const AggSpec& spec : specs_) {
-        JPAR_ASSIGN_OR_RETURN(std::unique_ptr<Aggregator> agg,
-                              MakeAggregator(spec.kind, step_));
-        it->second.aggs.push_back(std::move(agg));
-      }
-    }
+    JPAR_ASSIGN_OR_RETURN(
+        GroupState * group,
+        FindOrAdd(&table_, key, hash, key_items, &allocated_));
     for (size_t i = 0; i < specs_.size(); ++i) {
       JPAR_ASSIGN_OR_RETURN(Item v, value_of(i));
+      Aggregator& agg = *group->aggs[i];
+      const size_t before = agg.RetainedBytes();
+      JPAR_RETURN_NOT_OK(agg.Step(v));
       if (track_growth_) {
-        size_t before = it->second.aggs[i]->RetainedBytes();
-        JPAR_RETURN_NOT_OK(it->second.aggs[i]->Step(v));
-        size_t after = it->second.aggs[i]->RetainedBytes();
-        if (after > before) {
-          JPAR_RETURN_NOT_OK(memory_->Allocate(after - before));
-          allocated_ += after - before;
-        }
-      } else {
-        JPAR_RETURN_NOT_OK(it->second.aggs[i]->Step(v));
+        JPAR_RETURN_NOT_OK(ChargeGrowth(before, agg, &allocated_));
       }
     }
     if (spill_ != nullptr && budget_ > 0 && allocated_ > budget_) {
@@ -377,29 +359,15 @@ class SpillableGroupTable {
   /// merged bucket by bucket.
   Status Emit(std::vector<Tuple>* out) {
     if (writers_.empty()) {
-      for (auto& [key, state] : table_) {
-        Tuple t = std::move(state.key_items);
-        for (std::unique_ptr<Aggregator>& agg : state.aggs) {
-          JPAR_ASSIGN_OR_RETURN(Item v, agg->Finish());
-          t.push_back(std::move(v));
-        }
+      for (GroupState& group : table_.states) {
+        JPAR_ASSIGN_OR_RETURN(Tuple t, FinishGroup(&group));
         out->push_back(std::move(t));
       }
-      table_.clear();
       return Status::OK();
     }
     JPAR_RETURN_NOT_OK(Flush());
-    std::vector<std::string> paths;
-    paths.reserve(writers_.size());
-    for (std::unique_ptr<SpillRunWriter>& w : writers_) {
-      JPAR_RETURN_NOT_OK(w->Finish());
-      paths.push_back(w->path());
-    }
-    writers_.clear();
     std::vector<KeyedTuple> keyed;
-    for (const std::string& path : paths) {
-      JPAR_RETURN_NOT_OK(MergeBucket(path, 0, &keyed));
-    }
+    JPAR_RETURN_NOT_OK(MergeRuns(&writers_, /*depth=*/0, &keyed));
     // Canonical spilled emit order, independent of the fanout: groups
     // come back bucket by bucket, and bucket boundaries move with the
     // fanout (which the cost model may hint), so raw bucket order
@@ -414,8 +382,6 @@ class SpillableGroupTable {
     return Status::OK();
   }
 
-  bool spilled() const { return !writers_.empty() || spilled_once_; }
-
  private:
   /// A finished group plus the encoded key it merged under; the key
   /// survives to Emit() so the final order can be canonicalized.
@@ -423,6 +389,8 @@ class SpillableGroupTable {
     std::string key;
     Tuple tuple;
   };
+  using Runs = std::vector<std::unique_ptr<SpillRunWriter>>;
+
   Status Check(const char* stage) const {
     return ctx_ != nullptr ? ctx_->Check(stage) : Status::OK();
   }
@@ -430,30 +398,80 @@ class SpillableGroupTable {
     return ctx_ != nullptr ? ctx_->Fault(point) : Status::OK();
   }
 
+  /// The group keyed by `key`, added when absent: it takes its key items
+  /// from `key_items`, passes the alloc.fail point, is charged
+  /// key.size() + 64 bytes into `*allocated`, and gets fresh aggregators.
+  Result<GroupState*> FindOrAdd(
+      GroupMap* groups, std::string_view key, size_t hash,
+      const std::function<Status(Tuple*)>& key_items, uint64_t* allocated) {
+    auto [id, inserted] = groups->keys.Insert(key, hash);
+    if (!inserted) return &groups->states[id];
+    GroupState& group = groups->states.emplace_back();
+    JPAR_RETURN_NOT_OK(key_items(&group.key_items));
+    JPAR_RETURN_NOT_OK(FaultAt(FaultInjector::kAllocFail));
+    const uint64_t charge = key.size() + 64;
+    JPAR_RETURN_NOT_OK(memory_->Allocate(charge));
+    *allocated += charge;
+    for (const AggSpec& spec : specs_) {
+      JPAR_ASSIGN_OR_RETURN(std::unique_ptr<Aggregator> agg,
+                            MakeAggregator(spec.kind, step_));
+      group.aggs.push_back(std::move(agg));
+    }
+    return &group;
+  }
+
+  /// Charges what `agg` grew by since it retained `before` bytes.
+  Status ChargeGrowth(size_t before, const Aggregator& agg,
+                      uint64_t* allocated) {
+    const size_t after = agg.RetainedBytes();
+    if (after <= before) return Status::OK();
+    JPAR_RETURN_NOT_OK(memory_->Allocate(after - before));
+    *allocated += after - before;
+    return Status::OK();
+  }
+
+  /// A group's key items followed by its finished aggregates.
+  static Result<Tuple> FinishGroup(GroupState* group) {
+    Tuple t = std::move(group->key_items);
+    for (std::unique_ptr<Aggregator>& agg : group->aggs) {
+      JPAR_ASSIGN_OR_RETURN(Item v, agg->Finish());
+      t.push_back(std::move(v));
+    }
+    return t;
+  }
+
+  /// Appends every group of `groups`, in id order, to the run of its
+  /// bucket SpillHash(key, salt) % fanout.
+  Status WriteGroups(const GroupMap& groups, uint32_t salt,
+                     const char* stage, Runs* runs) {
+    std::string record;
+    for (uint32_t id = 0; id < groups.states.size(); ++id) {
+      if ((id + 1) % Executor::kCheckIntervalTuples == 0) {
+        JPAR_RETURN_NOT_OK(Check(stage));
+      }
+      const std::string_view key = groups.keys.key(id);
+      const GroupState& group = groups.states[id];
+      record.clear();
+      JPAR_RETURN_NOT_OK(
+          EncodeGroupSpillRecord(key, group.key_items, group.aggs, &record));
+      size_t b = SpillHash(key, salt) % static_cast<size_t>(fanout_);
+      JPAR_RETURN_NOT_OK((*runs)[b]->Append(record));
+    }
+    return Status::OK();
+  }
+
   /// Writes every live group to its hash bucket's run file (append;
   /// one file per bucket across all flushes) and clears the table.
   Status Flush() {
-    if (table_.empty()) return Status::OK();
+    if (table_.states.empty()) return Status::OK();
     if (writers_.empty()) {
       writers_.resize(static_cast<size_t>(fanout_));
       for (std::unique_ptr<SpillRunWriter>& w : writers_) {
         JPAR_ASSIGN_OR_RETURN(w, spill_->NewRun());
       }
-      spilled_once_ = true;
     }
-    std::string record;
-    uint64_t n = 0;
-    for (auto& [key, state] : table_) {
-      if (++n % Executor::kCheckIntervalTuples == 0) {
-        JPAR_RETURN_NOT_OK(Check("group-by spill"));
-      }
-      record.clear();
-      JPAR_RETURN_NOT_OK(
-          EncodeGroupSpillRecord(key, state.key_items, state.aggs, &record));
-      size_t b = SpillHash(key, 0) % static_cast<size_t>(fanout_);
-      JPAR_RETURN_NOT_OK(writers_[b]->Append(record));
-    }
-    table_.clear();
+    JPAR_RETURN_NOT_OK(WriteGroups(table_, 0, "group-by spill", &writers_));
+    table_ = GroupMap();
     memory_->Release(allocated_);
     allocated_ = 0;
     return Status::OK();
@@ -464,7 +482,7 @@ class SpillableGroupTable {
     if (merge_passes_ != nullptr) ++*merge_passes_;
     JPAR_ASSIGN_OR_RETURN(std::unique_ptr<SpillRunReader> reader,
                           spill_->OpenRun(path));
-    std::unordered_map<std::string, GroupState> table;
+    GroupMap table;
     uint64_t allocated = 0;
     std::string record;
     uint64_t n = 0;
@@ -479,27 +497,20 @@ class SpillableGroupTable {
       if (rec.partials.size() != specs_.size()) {
         return Status::Internal("group spill record arity mismatch");
       }
-      auto [it, inserted] = table.try_emplace(rec.encoded_key);
-      if (inserted) {
-        it->second.key_items = std::move(rec.key_items);
-        JPAR_RETURN_NOT_OK(FaultAt(FaultInjector::kAllocFail));
-        uint64_t charge = rec.encoded_key.size() + 64;
-        JPAR_RETURN_NOT_OK(memory_->Allocate(charge));
-        allocated += charge;
-        for (const AggSpec& spec : specs_) {
-          JPAR_ASSIGN_OR_RETURN(std::unique_ptr<Aggregator> agg,
-                                MakeAggregator(spec.kind, step_));
-          it->second.aggs.push_back(std::move(agg));
-        }
-      }
+      JPAR_ASSIGN_OR_RETURN(
+          GroupState * group,
+          FindOrAdd(&table, rec.encoded_key,
+                    std::hash<std::string>{}(rec.encoded_key),
+                    [&](Tuple* items) {
+                      *items = std::move(rec.key_items);
+                      return Status::OK();
+                    },
+                    &allocated));
       for (size_t i = 0; i < rec.partials.size(); ++i) {
-        size_t before = it->second.aggs[i]->RetainedBytes();
-        JPAR_RETURN_NOT_OK(it->second.aggs[i]->MergePartial(rec.partials[i]));
-        size_t after = it->second.aggs[i]->RetainedBytes();
-        if (after > before) {
-          JPAR_RETURN_NOT_OK(memory_->Allocate(after - before));
-          allocated += after - before;
-        }
+        Aggregator& agg = *group->aggs[i];
+        const size_t before = agg.RetainedBytes();
+        JPAR_RETURN_NOT_OK(agg.MergePartial(rec.partials[i]));
+        JPAR_RETURN_NOT_OK(ChargeGrowth(before, agg, &allocated));
       }
       if (budget_ > 0 && allocated > budget_ && depth < kMaxSpillDepth) {
         return Repartition(std::move(reader), path, &table, allocated, depth,
@@ -508,13 +519,9 @@ class SpillableGroupTable {
       // Past kMaxSpillDepth the bucket overruns its budget softly —
       // with a sane hash that takes adversarial key collisions.
     }
-    for (auto& [key, state] : table) {
-      Tuple t = std::move(state.key_items);
-      for (std::unique_ptr<Aggregator>& agg : state.aggs) {
-        JPAR_ASSIGN_OR_RETURN(Item v, agg->Finish());
-        t.push_back(std::move(v));
-      }
-      out->push_back({key, std::move(t)});
+    for (uint32_t id = 0; id < table.states.size(); ++id) {
+      JPAR_ASSIGN_OR_RETURN(Tuple t, FinishGroup(&table.states[id]));
+      out->push_back({std::string(table.keys.key(id)), std::move(t)});
     }
     memory_->Release(allocated);
     spill_->Remove(path);
@@ -525,32 +532,22 @@ class SpillableGroupTable {
   /// partially merged table plus the rest of the bucket's stream into
   /// `fanout` sub-runs under the next salt and merge those instead.
   Status Repartition(std::unique_ptr<SpillRunReader> reader,
-                     const std::string& path,
-                     std::unordered_map<std::string, GroupState>* table,
+                     const std::string& path, GroupMap* table,
                      uint64_t allocated, int depth,
                      std::vector<KeyedTuple>* out) {
     uint32_t salt = static_cast<uint32_t>(depth) + 1;
-    std::vector<std::unique_ptr<SpillRunWriter>> subs(
-        static_cast<size_t>(fanout_));
+    Runs subs(static_cast<size_t>(fanout_));
     for (std::unique_ptr<SpillRunWriter>& w : subs) {
       JPAR_ASSIGN_OR_RETURN(w, spill_->NewRun());
     }
-    std::string record;
-    uint64_t n = 0;
-    for (auto& [key, state] : *table) {
-      if (++n % Executor::kCheckIntervalTuples == 0) {
-        JPAR_RETURN_NOT_OK(Check("group-by spill repartition"));
-      }
-      record.clear();
-      JPAR_RETURN_NOT_OK(
-          EncodeGroupSpillRecord(key, state.key_items, state.aggs, &record));
-      size_t b = SpillHash(key, salt) % static_cast<size_t>(fanout_);
-      JPAR_RETURN_NOT_OK(subs[b]->Append(record));
-    }
-    table->clear();
+    JPAR_RETURN_NOT_OK(
+        WriteGroups(*table, salt, "group-by spill repartition", &subs));
+    *table = GroupMap();
     memory_->Release(allocated);
     // Route the unread remainder by key alone, without decoding
     // partials.
+    std::string record;
+    uint64_t n = 0;
     while (true) {
       JPAR_ASSIGN_OR_RETURN(bool more, reader->Next(&record));
       if (!more) break;
@@ -563,15 +560,19 @@ class SpillableGroupTable {
     }
     reader.reset();
     spill_->Remove(path);
+    return MergeRuns(&subs, depth + 1, out);
+  }
+
+  /// Finishes and closes `runs`, then merges each in order at `depth`.
+  Status MergeRuns(Runs* runs, int depth, std::vector<KeyedTuple>* out) {
     std::vector<std::string> paths;
-    paths.reserve(subs.size());
-    for (std::unique_ptr<SpillRunWriter>& w : subs) {
+    for (std::unique_ptr<SpillRunWriter>& w : *runs) {
       JPAR_RETURN_NOT_OK(w->Finish());
       paths.push_back(w->path());
     }
-    subs.clear();
-    for (const std::string& sub : paths) {
-      JPAR_RETURN_NOT_OK(MergeBucket(sub, depth + 1, out));
+    runs->clear();
+    for (const std::string& path : paths) {
+      JPAR_RETURN_NOT_OK(MergeBucket(path, depth, out));
     }
     return Status::OK();
   }
@@ -586,10 +587,9 @@ class SpillableGroupTable {
   uint64_t budget_;
   uint64_t* merge_passes_;
 
-  std::unordered_map<std::string, GroupState> table_;
-  std::vector<std::unique_ptr<SpillRunWriter>> writers_;
+  GroupMap table_;
+  Runs writers_;
   uint64_t allocated_ = 0;
-  bool spilled_once_ = false;
 };
 
 }  // namespace
@@ -1203,7 +1203,7 @@ Status Executor::RunPartitionTasks(
 
 Result<Executor::PartitionSet> Executor::Exchange(
     PartitionSet input, const std::vector<ScalarEvalPtr>& key_evals,
-    bool carry_keys, StageStats* stage, ExecStats* stats) const {
+    StageStats* stage, ExecStats* stats) const {
   const size_t pcount = static_cast<size_t>(std::max(options_.partitions, 1));
   const size_t nsrc = input.parts.size();
   auto start = Clock::now();
@@ -1223,7 +1223,7 @@ Result<Executor::PartitionSet> Executor::Exchange(
     std::vector<std::vector<Tuple>>& to = streams[src];
     std::vector<FrameTally>& tally = tallies[src];
     to.resize(pcount);
-    if (carry_keys) key_streams[src].resize(pcount);
+    key_streams[src].resize(pcount);
     tally.assign(pcount, FrameTally(options_.frame_bytes));
     // RouteByKey is done with tuple i once it names its destination.
     Status st = RouteByKey(
@@ -1231,7 +1231,7 @@ Result<Executor::PartitionSet> Executor::Exchange(
         [&](size_t dst, size_t i, std::string_view key, size_t hash) {
           tally[dst].Add(EncodedTupleSize(tuples[i]));
           to[dst].push_back(std::move(tuples[i]));
-          if (carry_keys) key_streams[src][dst].Append(key, hash);
+          key_streams[src][dst].Append(key, hash);
         });
     src_ms[src] = ElapsedMs(src_start);
     std::vector<Tuple>().swap(tuples);
@@ -1266,7 +1266,7 @@ Result<Executor::PartitionSet> Executor::Exchange(
   // order, so partition contents and order do not depend on threading.
   PartitionSet output;
   output.parts.resize(pcount);
-  if (carry_keys) output.keys.resize(pcount);
+  output.keys.resize(pcount);
   std::vector<double> dst_ms(pcount, 0.0);
   JPAR_RETURN_NOT_OK(RunPartitionTasks(pcount, [&](size_t dst) -> Status {
     auto dst_start = Clock::now();
@@ -1278,7 +1278,7 @@ Result<Executor::PartitionSet> Executor::Exchange(
       std::vector<Tuple>& in = streams[src][dst];
       out.insert(out.end(), std::make_move_iterator(in.begin()),
                  std::make_move_iterator(in.end()));
-      if (carry_keys) output.keys[dst].Take(std::move(key_streams[src][dst]));
+      output.keys[dst].Take(std::move(key_streams[src][dst]));
     }
     dst_ms[dst] = ElapsedMs(dst_start);
     for (size_t src = 0; src < nsrc; ++src) {
@@ -1329,10 +1329,10 @@ Result<Executor::PartitionSet> Executor::ExecGroupBy(
       }
       MemoryTracker task_memory(&memory);
       std::vector<Tuple> groups;  // local: siblings share cache lines
-      Status st = AggregatePartition(node, step, in.parts[p],
-                                     memory.ShareOf(n), &task_memory,
-                                     spills[p].get(), &merge_passes[p],
-                                     &groups);
+      Status st = AggregatePartition(
+          node, step, in.parts[p], in.keys.empty() ? nullptr : &in.keys[p],
+          memory.ShareOf(n), &task_memory, spills[p].get(), &merge_passes[p],
+          &groups);
       out.parts[p] = std::move(groups);
       if (release) task_memory.ReleaseAll();
       stage->partition_ms[p] = ElapsedMs(start);
@@ -1361,7 +1361,7 @@ Result<Executor::PartitionSet> Executor::ExecGroupBy(
   global_stage.name = GroupByStageName(step);
   JPAR_ASSIGN_OR_RETURN(PartitionSet exchanged,
                         Exchange(std::move(input), GroupKeyEvals(node, step),
-                                 /*carry_keys=*/false, &global_stage, stats));
+                                 &global_stage, stats));
   // The hard-limit mode deliberately never releases between global
   // partitions (it emulates all partitions resident at once, which is
   // what Table 3 measures); the budgeted mode governs each partition
@@ -1376,14 +1376,15 @@ Result<Executor::PartitionSet> Executor::ExecGroupBy(
 
 Status Executor::AggregatePartition(const PNode& node, AggStep step,
                                     const std::vector<Tuple>& input,
-                                    uint64_t budget, MemoryTracker* memory,
+                                    const EncodedKeys* keys, uint64_t budget,
+                                    MemoryTracker* memory,
                                     SpillManager* spill,
                                     uint64_t* merge_passes,
                                     std::vector<Tuple>* out) const {
   EvalContext ctx;
   ctx.catalog = catalog_;
   ctx.memory = memory;
-  const KeyEncoder keys(GroupKeyEvals(node, step));
+  const KeyEncoder encoder(GroupKeyEvals(node, step));
   const size_t nkeys = node.keys.size();
   // Pre-spilling semantics kept exactly when disabled: the local stage
   // never tracked aggregate growth (incremental partials are O(1)); with
@@ -1394,19 +1395,30 @@ Status Executor::AggregatePartition(const PNode& node, AggStep step,
                             merge_passes);
   std::string encoded;
   Tuple key_items;
-  uint64_t processed = 0;
-  for (const Tuple& tuple : input) {
-    if (++processed % kCheckIntervalTuples == 0) {
+  for (size_t i = 0; i < input.size(); ++i) {
+    if ((i + 1) % kCheckIntervalTuples == 0) {
       JPAR_RETURN_NOT_OK(Interrupted("group-by build"));
     }
-    JPAR_RETURN_NOT_OK(keys.Encode(tuple, &ctx, &encoded, &key_items));
-    JPAR_RETURN_NOT_OK(
-        table.Add(encoded, key_items, [&](size_t i) -> Result<Item> {
-          if (step == AggStep::kGlobal) {
-            // Partial for agg i sits right after the key columns.
-            return tuple[nkeys + i];
+    const Tuple& tuple = input[i];
+    if (keys == nullptr) {
+      JPAR_RETURN_NOT_OK(encoder.Encode(tuple, &ctx, &encoded, &key_items));
+    }
+    JPAR_RETURN_NOT_OK(table.Add(
+        keys != nullptr ? keys->key(i) : std::string_view(encoded),
+        keys != nullptr ? keys->hash(i) : std::hash<std::string>{}(encoded),
+        [&](Tuple* items) {
+          if (keys != nullptr) {
+            return encoder.Encode(tuple, &ctx, &encoded, items);
           }
-          return node.aggs[i].arg->Eval(tuple, &ctx);
+          *items = std::move(key_items);
+          return Status::OK();
+        },
+        [&](size_t a) -> Result<Item> {
+          if (step == AggStep::kGlobal) {
+            // Partial for agg a sits right after the key columns.
+            return tuple[nkeys + a];
+          }
+          return node.aggs[a].arg->Eval(tuple, &ctx);
         }));
   }
   return table.Emit(out);
@@ -1495,11 +1507,11 @@ Result<Executor::PartitionSet> Executor::ExecJoin(const PNode& node,
   StageStats stage;
   stage.name = "hash-join";
   JPAR_ASSIGN_OR_RETURN(PartitionSet left_ex,
-                        Exchange(std::move(left), node.left_keys,
-                                 /*carry_keys=*/true, &stage, stats));
+                        Exchange(std::move(left), node.left_keys, &stage,
+                                 stats));
   JPAR_ASSIGN_OR_RETURN(PartitionSet right_ex,
-                        Exchange(std::move(right), node.right_keys,
-                                 /*carry_keys=*/true, &stage, stats));
+                        Exchange(std::move(right), node.right_keys, &stage,
+                                 stats));
 
   // Hash joins cannot spill yet; with spilling enabled the build side
   // overruns the budget softly instead of failing the query
@@ -1760,6 +1772,16 @@ bool Executor::GroupByUsesTwoStep(const PNode& node) {
   return can_two_step;
 }
 
+std::vector<ScalarEvalPtr> Executor::GroupKeyEvals(const PNode& node,
+                                                   AggStep step) {
+  if (step != AggStep::kGlobal) return node.keys;
+  std::vector<ScalarEvalPtr> columns;
+  for (size_t i = 0; i < node.keys.size(); ++i) {
+    columns.push_back(MakeColumnEval(static_cast<int>(i)));
+  }
+  return columns;
+}
+
 Result<std::vector<Tuple>> Executor::RunSubtree(const PNode& node,
                                                 ExecStats* stats) const {
   JPAR_RETURN_NOT_OK(ValidateExecOptions(options_));
@@ -1791,28 +1813,14 @@ Result<std::vector<Tuple>> Executor::GroupByFragment(
   stage.name = GroupByStageName(step);
   auto start = Clock::now();
   std::vector<Tuple> out;
-  JPAR_RETURN_NOT_OK(AggregatePartition(node, step, input, memory.ShareOf(1),
-                                        &memory, spill_mgr.get(),
-                                        &merge_passes, &out));
+  JPAR_RETURN_NOT_OK(AggregatePartition(node, step, input, /*keys=*/nullptr,
+                                        memory.ShareOf(1), &memory,
+                                        spill_mgr.get(), &merge_passes, &out));
   NotePeak(memory, stats);
   NoteSpill(spill_mgr.get(), merge_passes, stats);
   stage.partition_ms.assign(1, ElapsedMs(start));
   stats->Merge(stage);
   return out;
-}
-
-Result<std::vector<Tuple>> Executor::GroupByLocal(
-    const PNode& node, const std::vector<Tuple>& input,
-    ExecStats* stats) const {
-  return GroupByFragment(node, AggStep::kLocal, input, stats);
-}
-
-Result<std::vector<Tuple>> Executor::GroupByGlobal(
-    const PNode& node, const std::vector<Tuple>& input, bool from_partials,
-    ExecStats* stats) const {
-  return GroupByFragment(
-      node, from_partials ? AggStep::kGlobal : AggStep::kComplete, input,
-      stats);
 }
 
 Result<std::vector<Tuple>> Executor::JoinPartition(

@@ -301,6 +301,11 @@ class Executor {
   /// pre-aggregation, exchange of partials, global merge).
   static bool GroupByUsesTwoStep(const PNode& node);
 
+  /// The key a group-by step exchanges and groups on: node.keys over
+  /// raw tuples, or columns [0, nkeys) over two-step partials (kGlobal).
+  static std::vector<ScalarEvalPtr> GroupKeyEvals(const PNode& node,
+                                                  AggStep step);
+
   /// Executes a whole subtree (a leaf fragment: everything below the
   /// first exchange boundary) and returns its output partitions
   /// concatenated in partition order. Workers run this over a sliced
@@ -309,20 +314,12 @@ class Executor {
   Result<std::vector<Tuple>> RunSubtree(const PNode& node,
                                         ExecStats* stats) const;
 
-  /// The local half of a two-step group-by over one input partition
-  /// (AggStep::kLocal; emits key columns ++ partial aggregates).
-  Result<std::vector<Tuple>> GroupByLocal(const PNode& node,
-                                          const std::vector<Tuple>& input,
-                                          ExecStats* stats) const;
-
-  /// The global half of a group-by over one exchanged partition.
-  /// `from_partials` selects AggStep::kGlobal over two-step partials
-  /// (keys in columns [0, nkeys)) vs. AggStep::kComplete over raw
-  /// tuples keyed by node.keys.
-  Result<std::vector<Tuple>> GroupByGlobal(const PNode& node,
-                                           const std::vector<Tuple>& input,
-                                           bool from_partials,
-                                           ExecStats* stats) const;
+  /// One group-by step over one partition, as its own stage: kLocal
+  /// emits key columns ++ partials; after the exchange, kGlobal merges
+  /// partials and kComplete aggregates raw tuples (see GroupKeyEvals).
+  Result<std::vector<Tuple>> GroupByFragment(const PNode& node, AggStep step,
+                                             const std::vector<Tuple>& input,
+                                             ExecStats* stats) const;
 
   /// One partition of the hash join over already-exchanged inputs
   /// (build right, probe left, optional residual filter).
@@ -346,8 +343,8 @@ class Executor {
  private:
   struct PartitionSet {
     std::vector<std::vector<Tuple>> parts;
-    /// keys[p][i]: the encoded key of parts[p][i], when an exchange
-    /// carried keys; empty otherwise.
+    /// keys[p][i]: the encoded key and hash of parts[p][i], as the
+    /// exchange that made this set routed it; empty otherwise.
     std::vector<EncodedKeys> keys;
   };
 
@@ -377,18 +374,16 @@ class Executor {
                             exec_detail::TaskResult* task) const;
   Result<PartitionSet> ExecGroupBy(const PNode& node, ExecStats* stats) const;
   /// One group-by partition, shared by both stages of ExecGroupBy and
-  /// by GroupByLocal/GroupByGlobal. `step` picks the keys and inputs:
-  /// kLocal and kComplete aggregate raw tuples keyed by node.keys,
-  /// kGlobal merges two-step partials keyed by columns [0, nkeys).
+  /// by GroupByFragment; `step` picks the keys (GroupKeyEvals) and
+  /// inputs. With the exchange's `keys`, key expressions run only for a
+  /// new group's key items; null encodes each tuple's key here. Groups
+  /// come out in first-appearance order unless they spilled (§10).
   Status AggregatePartition(const PNode& node, AggStep step,
-                            const std::vector<Tuple>& input, uint64_t budget,
+                            const std::vector<Tuple>& input,
+                            const EncodedKeys* keys, uint64_t budget,
                             MemoryTracker* memory, SpillManager* spill,
                             uint64_t* merge_passes,
                             std::vector<Tuple>* out) const;
-  /// GroupByLocal/GroupByGlobal: one AggregatePartition as its own stage.
-  Result<std::vector<Tuple>> GroupByFragment(const PNode& node, AggStep step,
-                                             const std::vector<Tuple>& input,
-                                             ExecStats* stats) const;
   Result<PartitionSet> ExecJoin(const PNode& node, ExecStats* stats) const;
   /// One partition of the hash join, shared by ExecJoin and
   /// JoinPartition, over each side's tuples and their encoded keys (in
@@ -419,13 +414,11 @@ class Executor {
   /// order; no frame is built. The frame and byte counters in `stage`
   /// and the modeled network time come from each tuple's encoded size
   /// under the FrameTally packing rule, so they equal what a frame-
-  /// encoding exchange would report, byte for byte. With `carry_keys`
-  /// the output's `keys` hold each tuple's encoded key and hash as
-  /// routing computed them.
+  /// encoding exchange would report, byte for byte. The output's `keys`
+  /// hand each tuple's encoded key and hash to the join or group-by.
   Result<PartitionSet> Exchange(PartitionSet input,
                                 const std::vector<ScalarEvalPtr>& key_evals,
-                                bool carry_keys, StageStats* stage,
-                                ExecStats* stats) const;
+                                StageStats* stage, ExecStats* stats) const;
   /// route(b, i, key, hash): tuple i's encoded key and its hash go to
   /// bucket b; `key` is valid only during the call.
   using RouteFn =

@@ -9,7 +9,7 @@
 namespace jpar {
 
 Status EncodeGroupSpillRecord(
-    const std::string& encoded_key, const Tuple& key_items,
+    std::string_view encoded_key, const Tuple& key_items,
     const std::vector<std::unique_ptr<Aggregator>>& aggs, std::string* out) {
   ItemWriter writer(out);
   writer.Write(Item::String(encoded_key));

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -50,7 +51,7 @@ struct GroupSpillRecord {
 /// item, the key items as a counted tuple, then a counted list of
 /// Aggregator::SavePartial snapshots — one per spec.
 Status EncodeGroupSpillRecord(
-    const std::string& encoded_key, const Tuple& key_items,
+    std::string_view encoded_key, const Tuple& key_items,
     const std::vector<std::unique_ptr<Aggregator>>& aggs, std::string* out);
 
 /// The inverse of EncodeGroupSpillRecord over one complete record.

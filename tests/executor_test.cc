@@ -902,7 +902,8 @@ class ReferenceExchangeRun {
         std::vector<ScalarEvalPtr> keys = node.keys;
         if (two_step) {
           for (std::vector<Tuple>& part : input) {
-            part = Must(executor.GroupByLocal(node, part, &ignored));
+            part = Must(executor.GroupByFragment(node, AggStep::kLocal, part,
+                                                 &ignored));
           }
           keys.clear();
           for (size_t i = 0; i < node.keys.size(); ++i) {
@@ -912,8 +913,9 @@ class ReferenceExchangeRun {
         ExchangeCounters stage;
         stage.stage = two_step ? "group-by (global merge)" : "group-by (hash)";
         for (std::vector<Tuple>& part : Exchange(input, keys, &stage)) {
-          out.push_back(Must(
-              executor.GroupByGlobal(node, part, two_step, &ignored)));
+          out.push_back(Must(executor.GroupByFragment(
+              node, two_step ? AggStep::kGlobal : AggStep::kComplete, part,
+              &ignored)));
         }
         stages.push_back(stage);
         return out;

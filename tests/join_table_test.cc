@@ -1,13 +1,15 @@
 // Keys encoded once (DESIGN.md §6): the flat KeySet and JoinTable,
-// KeyEncoder against the reference per-expression encoding, and the
-// hash join against a nested-loop oracle, both through the fragment
-// API's JoinPartition and through in-process plans whose exchanges
-// carry each tuple's key to the join.
+// KeyEncoder against the reference per-expression encoding, the hash
+// join against a nested-loop oracle, both through the fragment API's
+// JoinPartition and through in-process plans whose exchanges carry
+// each tuple's key to the join, and the group-by over the same keys:
+// its first-appearance order and how often it evaluates a key.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -53,6 +55,20 @@ TEST(KeySetTest, InternsInInsertionOrderAndGrows) {
   EXPECT_EQ(set.Insert(std::string_view("\0", 1), 0),
             std::make_pair(2u, true));
   EXPECT_EQ(set.Find(std::string_view(), 0), 1u);
+}
+
+TEST(KeySetTest, KeyReturnsEachInsertedKey) {
+  KeySet set;
+  std::vector<std::string> keys = {"b", "", std::string("\0x", 2), "a"};
+  for (int i = 0; i < 300; ++i) keys.push_back("key" + std::to_string(i));
+  for (const std::string& key : keys) {
+    set.Insert(key, std::hash<std::string>{}(key));
+    set.Insert(key, std::hash<std::string>{}(key));  // found, not added
+  }
+  ASSERT_EQ(set.size(), keys.size());
+  for (uint32_t id = 0; id < keys.size(); ++id) {
+    EXPECT_EQ(set.key(id), keys[id]);
+  }
 }
 
 TEST(EncodedKeysTest, TakeAppendsInOrder) {
@@ -447,6 +463,177 @@ TEST(JoinOracleTest, InProcessJoinMatchesNestedLoopAndEncodesEachKeyOnce) {
         }
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------
+// The group-by over the same keys.
+// ---------------------------------------------------------------------
+
+/// A group-by counting the rows of `input` per `key`, one- or two-step.
+std::shared_ptr<PNode> CountByKey(ScalarEvalPtr key, bool two_step,
+                                  std::shared_ptr<PNode> input) {
+  auto node = std::make_shared<PNode>();
+  node->kind = PNode::Kind::kGroupBy;
+  node->keys = {std::move(key)};
+  AggSpec count;
+  count.kind = AggKind::kCount;
+  count.arg = MakeColumnEval(0);
+  node->aggs = {count};
+  node->two_step = two_step;
+  node->input = std::move(input);
+  return node;
+}
+
+/// Runs `group_by` in process and returns each group as a
+/// [key, count] array, in output order.
+std::vector<std::string> RunGroups(const Catalog& catalog,
+                                   const ExecOptions& options,
+                                   std::shared_ptr<PNode> group_by) {
+  auto pairs = std::make_shared<PNode>();
+  pairs->kind = PNode::Kind::kPipeline;
+  pairs->input = std::move(group_by);
+  pairs->ops.push_back(UnaryOpDesc::Assign(Fn(
+      Builtin::kArrayConstructor, {MakeColumnEval(0), MakeColumnEval(1)})));
+  PhysicalPlan plan;
+  plan.root = pairs;
+  plan.result_column = 2;
+  Executor executor(&catalog, options);
+  Result<QueryOutput> out = executor.Run(plan);
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  std::vector<std::string> rows;
+  if (!out.ok()) return rows;
+  for (const Item& item : out->items) rows.push_back(item.ToJsonString());
+  return rows;
+}
+
+std::string Group(Item key, int64_t count) {
+  return Item::MakeArray({std::move(key), Item::Int64(count)}).ToJsonString();
+}
+
+TEST(GroupByOrderTest, OnePartitionEmitsGroupsInFirstAppearanceOrder) {
+  std::vector<Tuple> rows;
+  for (const char* k : {"c", "a", "b", "a"}) {
+    rows.push_back({Item::MakeObject({{"k", Item::String(k)}})});
+  }
+  const std::vector<std::string> want = {Group(Item::String("c"), 1),
+                                         Group(Item::String("a"), 2),
+                                         Group(Item::String("b"), 1)};
+  Catalog catalog;
+  catalog.RegisterCollection("rows", RowFiles(rows));
+  Executor executor(&catalog, ExecOptions{});
+  ExecStats stats;
+  Result<std::vector<Tuple>> fragment = executor.GroupByFragment(
+      *CountByKey(Field(0, "k"), false, nullptr), AggStep::kComplete, rows,
+      &stats);
+  ASSERT_TRUE(fragment.ok()) << fragment.status().ToString();
+  std::vector<std::string> got;
+  for (const Tuple& t : *fragment) {
+    got.push_back(Item::MakeArray(t).ToJsonString());
+  }
+  EXPECT_EQ(got, want);
+  for (bool two_step : {false, true}) {
+    for (bool threads : {false, true}) {
+      SCOPED_TRACE(std::string(two_step ? "two-step" : "one-step") +
+                   (threads ? ", threaded" : ""));
+      ExecOptions options;
+      options.use_threads = threads;
+      auto node = CountByKey(Field(0, "k"), two_step, ScanRows("rows"));
+      EXPECT_EQ(RunGroups(catalog, options, node), want);
+    }
+  }
+}
+
+TEST(GroupByOracleTest, KeysAreEvaluatedOncePerTupleAndOncePerNewGroup) {
+  std::mt19937 rng(5);
+  std::vector<Tuple> rows;
+  std::map<int64_t, int64_t> counts;
+  for (int i = 0; i < 150; ++i) {
+    const int64_t k = static_cast<int64_t>(rng() % 23);
+    ++counts[k];
+    rows.push_back({Item::MakeObject(
+        {{"v", Item::Int64(i)}, {"k", Item::Int64(k)}})});
+  }
+  std::vector<std::string> want;
+  for (const auto& [k, n] : counts) want.push_back(Group(Item::Int64(k), n));
+  std::sort(want.begin(), want.end());
+  Catalog catalog;
+  catalog.RegisterCollection("rows", RowFiles(rows));
+  for (bool two_step : {false, true}) {
+    // An opaque key: every evaluation goes through CountingEval::Eval.
+    auto key = std::make_shared<CountingEval>(Field(0, "k"));
+    for (int partitions : {1, 2, 3}) {
+      for (bool threads : {false, true}) {
+        SCOPED_TRACE(std::string(two_step ? "two-step" : "one-step") +
+                     ", p=" + std::to_string(partitions) +
+                     (threads ? " threaded" : ""));
+        ExecOptions options;
+        options.partitions = partitions;
+        options.use_threads = threads;
+        key->calls = 0;
+        std::vector<std::string> got = RunGroups(
+            catalog, options, CountByKey(key, two_step, ScanRows("rows")));
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, want);
+        // One-step: once per tuple to route it, once per group for its
+        // key value. Two-step: once per tuple in the local step; the
+        // global step reads key columns.
+        EXPECT_EQ(key->calls.load(),
+                  two_step ? rows.size() : rows.size() + counts.size());
+      }
+    }
+  }
+}
+
+TEST(GroupByOracleTest, ChargesKeyBytesAndAggregateGrowthPerGroup) {
+  std::mt19937 rng(9);
+  std::vector<Tuple> rows;
+  for (int i = 0; i < 200; ++i) {
+    rows.push_back({Item::MakeObject(
+        {{"k", Item::String(std::string(1 + rng() % 9, 'a' + rng() % 5))},
+         {"v", Item::String(std::string(rng() % 40, 'x'))}})});
+  }
+  PNode node = *CountByKey(Field(0, "k"), false, nullptr);
+  for (AggKind kind : {AggKind::kSequence, AggKind::kMax}) {
+    AggSpec spec;
+    spec.kind = kind;
+    spec.arg = Field(0, "v");
+    node.aggs.push_back(spec);
+  }
+  // The charges, worked out per group: key bytes + 64 when it is new,
+  // and each Step's growth in retained bytes (tracked by every step but
+  // the local one).
+  std::map<std::string, std::vector<std::unique_ptr<Aggregator>>> groups;
+  uint64_t key_charges = 0;
+  uint64_t growth = 0;
+  for (const Tuple& row : rows) {
+    std::string key;
+    Tuple items;
+    ASSERT_TRUE(ReferenceEncode(node.keys, row, &key, &items).ok());
+    auto [it, inserted] = groups.try_emplace(key);
+    if (inserted) {
+      key_charges += key.size() + 64;
+      for (const AggSpec& spec : node.aggs) {
+        it->second.push_back(*MakeAggregator(spec.kind, AggStep::kComplete));
+      }
+    }
+    for (size_t a = 0; a < node.aggs.size(); ++a) {
+      EvalContext ctx;
+      const size_t before = it->second[a]->RetainedBytes();
+      ASSERT_TRUE(it->second[a]->Step(*node.aggs[a].arg->Eval(row, &ctx)).ok());
+      const size_t after = it->second[a]->RetainedBytes();
+      if (after > before) growth += after - before;
+    }
+  }
+  ASSERT_GT(growth, 0u);
+  Catalog catalog;
+  Executor executor(&catalog, ExecOptions{});
+  for (AggStep step : {AggStep::kComplete, AggStep::kLocal}) {
+    if (step == AggStep::kLocal) node.aggs.erase(node.aggs.begin() + 1);
+    ExecStats stats;
+    ASSERT_TRUE(executor.GroupByFragment(node, step, rows, &stats).ok());
+    EXPECT_EQ(stats.peak_retained_bytes,
+              key_charges + (step == AggStep::kComplete ? growth : 0));
   }
 }
 

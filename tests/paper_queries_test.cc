@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "core/engine.h"
 #include "data/sensor_generator.h"
 #include "json/parser.h"
+#include "runtime/frame.h"
 
 namespace jpar {
 namespace {
@@ -297,6 +299,55 @@ TEST_F(PaperQueriesTest, ThreadedExecutionAgrees) {
     for (const Item& i : a->items) ra.push_back(i.ToJsonString());
     for (const Item& i : b->items) rb.push_back(i.ToJsonString());
     EXPECT_EQ(ra, rb) << query;
+  }
+}
+
+// Batch mode counts each leaf DATASCAN output tuple's frame size
+// without serializing it: the stage's pipeline_bytes and
+// max_tuple_bytes equal the sum and the max of AppendTupleTo over the
+// tuples it emits.
+TEST_F(PaperQueriesTest, ScanPipelineBytesEqualSerializedOutput) {
+  for (const char* query : {kQ0, kQ0b, kQ1, kQ1b, kQ2}) {
+    SCOPED_TRACE(query);
+    EngineOptions options;
+    options.exec.partitions = 2;
+    options.exec.expr_mode = ExprMode::kBytecode;
+    Engine engine(options);
+    engine.catalog()->RegisterCollection("/sensors", MakeData());
+    Result<CompiledQuery> compiled = engine.Compile(query);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    std::vector<const PNode*> scans;
+    std::function<void(const PNode*)> collect = [&](const PNode* node) {
+      if (node == nullptr) return;
+      if (node->kind == PNode::Kind::kPipeline && node->input == nullptr &&
+          node->scan.kind == ScanDesc::Kind::kDataScan) {
+        scans.push_back(node);
+      }
+      collect(node->input.get());
+      collect(node->left.get());
+      collect(node->right.get());
+    };
+    collect(compiled->physical.root.get());
+    ASSERT_FALSE(scans.empty());
+    Executor executor(engine.catalog(), options.exec);
+    for (const PNode* scan : scans) {
+      ExecStats stats;
+      Result<std::vector<Tuple>> out = executor.RunSubtree(*scan, &stats);
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      ASSERT_EQ(stats.stages.size(), 1u);
+      uint64_t sum = 0;
+      uint64_t max = 0;
+      std::string frame;
+      for (const Tuple& t : *out) {
+        frame.clear();
+        const uint64_t bytes = AppendTupleTo(t, &frame);
+        sum += bytes;
+        max = std::max(max, bytes);
+      }
+      EXPECT_GT(sum, 0u);
+      EXPECT_EQ(stats.stages[0].pipeline_bytes, sum);
+      EXPECT_EQ(stats.stages[0].max_tuple_bytes, max);
+    }
   }
 }
 
