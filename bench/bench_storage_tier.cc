@@ -10,7 +10,10 @@
 //      shredding win when stage-2 parse work dominates (tapes help
 //      only modestly there, honestly reported),
 //   3. a numeric range predicate over an ascending reading stream —
-//      zone maps prune the blocks the predicate provably excludes.
+//      zone maps prune the blocks the predicate provably excludes,
+//   4. a Q0-style date SELECT over the sensor result objects with the
+//      scan filter (DESIGN.md §9) on and off — on columns, the filter
+//      skips decoding every cached record the SELECT rejects.
 //
 // Every warm run is checked row-identical to its cold run. Besides the
 // stdout tables it writes BENCH_storage_tier.json to the current
@@ -128,8 +131,9 @@ struct QueryResult {
 };
 
 QueryResult BenchQuery(const Engine& engine, const char* name,
-                       const char* query) {
-  auto compiled = engine.Compile(query, RuleOptions::All());
+                       const char* query,
+                       const RuleOptions& rules = RuleOptions::All()) {
+  auto compiled = engine.Compile(query, rules);
   CheckOk(compiled.status(), "compile storage bench query");
 
   QueryResult r;
@@ -246,11 +250,27 @@ void Run() {
   QueryResult zone =
       BenchQuery(engine, "zone-predicate", zone_query.c_str());
 
+  // 4. A selective SELECT over whole result objects (Q0's date test):
+  //    no numeric zone predicate, so every block is read; the scan
+  //    filter decides per record whether to decode it.
+  const char* kDateSelect = R"(
+    for $r in collection("/sensors")("results")()
+    let $d := dateTime(data($r("date")))
+    where month-from-dateTime($d) eq 12 and day-from-dateTime($d) eq 25
+    return $r)";
+  QueryResult filter_on = BenchQuery(engine, "select-filter-on", kDateSelect);
+  RuleOptions no_filter = RuleOptions::All();
+  no_filter.scan_filter = false;
+  QueryResult filter_off =
+      BenchQuery(engine, "select-filter-off", kDateSelect, no_filter);
+  const std::vector<const QueryResult*> results = {
+      &project, &values, &zone, &filter_on, &filter_off};
+
   PrintTableHeader("Warm storage tier (best-of-" +
                        std::to_string(Repeats()) + " wall ms)",
                    {"query", "cold", "tape-warm", "columnar-warm",
                     "tape x", "col x", "pruned"});
-  for (const QueryResult* r : {&project, &values, &zone}) {
+  for (const QueryResult* r : results) {
     PrintTableRow({r->name, FormatMs(r->cold.ms), FormatMs(r->tape.ms),
                    FormatMs(r->columnar.ms),
                    std::to_string(r->cold.ms / r->tape.ms),
@@ -270,7 +290,7 @@ void Run() {
   std::fprintf(out, "  \"readings_rows\": %llu,\n",
                static_cast<unsigned long long>(readings_rows));
   bool first = true;
-  for (const QueryResult* r : {&project, &values, &zone}) {
+  for (const QueryResult* r : results) {
     std::fprintf(out, "%s  \"%s\": {\n", first ? "" : ",\n", r->name);
     first = false;
     std::fprintf(out, "    \"rows\": %llu,\n",

@@ -117,7 +117,8 @@ Result<uint64_t> ItemReader::ReadVarint() {
   return Status::Internal("corrupt varint in binary item");
 }
 
-Result<Item> ItemReader::ReadValue(int depth) {
+template <bool kBuild>
+Status ItemReader::ReadValue(int depth, Item* out) {
   if (depth > 512) return Status::Internal("binary item too deeply nested");
   if (pos_ >= data_.size()) {
     return Status::Internal("truncated binary item");
@@ -125,82 +126,141 @@ Result<Item> ItemReader::ReadValue(int depth) {
   ItemKind kind = static_cast<ItemKind>(data_[pos_++]);
   switch (kind) {
     case ItemKind::kNull:
-      return Item::Null();
+      if constexpr (kBuild) *out = Item::Null();
+      return Status::OK();
     case ItemKind::kBoolean: {
       if (pos_ >= data_.size()) {
         return Status::Internal("truncated boolean");
       }
-      return Item::Boolean(data_[pos_++] != 0);
+      if constexpr (kBuild) *out = Item::Boolean(data_[pos_] != 0);
+      ++pos_;
+      return Status::OK();
     }
     case ItemKind::kInt64: {
       JPAR_ASSIGN_OR_RETURN(uint64_t v, ReadVarint());
-      return Item::Int64(UnZigZag(v));
+      if constexpr (kBuild) *out = Item::Int64(UnZigZag(v));
+      return Status::OK();
     }
     case ItemKind::kDouble: {
       if (pos_ + sizeof(double) > data_.size()) {
         return Status::Internal("truncated double");
       }
-      double v;
-      std::memcpy(&v, data_.data() + pos_, sizeof(double));
+      if constexpr (kBuild) {
+        double v;
+        std::memcpy(&v, data_.data() + pos_, sizeof(double));
+        *out = Item::Double(v);
+      }
       pos_ += sizeof(double);
-      return Item::Double(v);
+      return Status::OK();
     }
     case ItemKind::kString: {
       JPAR_ASSIGN_OR_RETURN(uint64_t len, ReadVarint());
       if (pos_ + len > data_.size()) {
         return Status::Internal("truncated string");
       }
-      Item out = Item::String(data_.substr(pos_, len));
+      if constexpr (kBuild) *out = Item::String(data_.substr(pos_, len));
       pos_ += len;
-      return out;
+      return Status::OK();
     }
     case ItemKind::kDateTime: {
       if (pos_ + 9 > data_.size()) {
         return Status::Internal("truncated dateTime");
       }
-      DateTimeValue dt;
-      std::memcpy(&dt.year, data_.data() + pos_, sizeof(int32_t));
-      pos_ += sizeof(int32_t);
-      dt.month = static_cast<int8_t>(data_[pos_++]);
-      dt.day = static_cast<int8_t>(data_[pos_++]);
-      dt.hour = static_cast<int8_t>(data_[pos_++]);
-      dt.minute = static_cast<int8_t>(data_[pos_++]);
-      dt.second = static_cast<int8_t>(data_[pos_++]);
-      return Item::DateTime(dt);
+      if constexpr (kBuild) {
+        DateTimeValue dt;
+        std::memcpy(&dt.year, data_.data() + pos_, sizeof(int32_t));
+        dt.month = static_cast<int8_t>(data_[pos_ + 4]);
+        dt.day = static_cast<int8_t>(data_[pos_ + 5]);
+        dt.hour = static_cast<int8_t>(data_[pos_ + 6]);
+        dt.minute = static_cast<int8_t>(data_[pos_ + 7]);
+        dt.second = static_cast<int8_t>(data_[pos_ + 8]);
+        *out = Item::DateTime(dt);
+      }
+      pos_ += 9;
+      return Status::OK();
     }
     case ItemKind::kArray:
     case ItemKind::kSequence: {
       JPAR_ASSIGN_OR_RETURN(uint64_t count, ReadVarint());
       Item::ItemVector elems;
-      elems.reserve(count < 4096 ? count : 4096);
+      if constexpr (kBuild) elems.reserve(count < 4096 ? count : 4096);
       for (uint64_t i = 0; i < count; ++i) {
-        JPAR_ASSIGN_OR_RETURN(Item e, ReadValue(depth + 1));
-        elems.push_back(std::move(e));
+        if constexpr (kBuild) {
+          JPAR_RETURN_NOT_OK(ReadValue<true>(depth + 1, &elems.emplace_back()));
+        } else {
+          JPAR_RETURN_NOT_OK(ReadValue<false>(depth + 1, nullptr));
+        }
       }
-      if (kind == ItemKind::kArray) return Item::MakeArray(std::move(elems));
-      return Item::MakeSequence(std::move(elems));
+      if constexpr (kBuild) {
+        *out = kind == ItemKind::kArray ? Item::MakeArray(std::move(elems))
+                                        : Item::MakeSequence(std::move(elems));
+      }
+      return Status::OK();
     }
     case ItemKind::kObject: {
       JPAR_ASSIGN_OR_RETURN(uint64_t count, ReadVarint());
       Item::Object fields;
-      fields.reserve(count < 4096 ? count : 4096);
+      if constexpr (kBuild) fields.reserve(count < 4096 ? count : 4096);
       for (uint64_t i = 0; i < count; ++i) {
-        JPAR_ASSIGN_OR_RETURN(uint64_t klen, ReadVarint());
-        if (pos_ + klen > data_.size()) {
-          return Status::Internal("truncated object key");
+        JPAR_ASSIGN_OR_RETURN(std::string_view key, ReadKey());
+        if constexpr (kBuild) {
+          Item::Field& f = fields.emplace_back();
+          f.key = std::string(key);
+          JPAR_RETURN_NOT_OK(ReadValue<true>(depth + 1, &f.value));
+        } else {
+          JPAR_RETURN_NOT_OK(ReadValue<false>(depth + 1, nullptr));
         }
-        std::string key(data_.substr(pos_, klen));
-        pos_ += klen;
-        JPAR_ASSIGN_OR_RETURN(Item v, ReadValue(depth + 1));
-        fields.push_back({std::move(key), std::move(v)});
       }
-      return Item::MakeObject(std::move(fields));
+      if constexpr (kBuild) *out = Item::MakeObject(std::move(fields));
+      return Status::OK();
     }
   }
   return Status::Internal("unknown item kind tag");
 }
 
-Result<Item> ItemReader::Read() { return ReadValue(0); }
+Result<std::string_view> ItemReader::ReadKey() {
+  JPAR_ASSIGN_OR_RETURN(uint64_t klen, ReadVarint());
+  if (pos_ + klen > data_.size()) {
+    return Status::Internal("truncated object key");
+  }
+  std::string_view key = data_.substr(pos_, klen);
+  pos_ += klen;
+  return key;
+}
+
+Result<Item> ItemReader::Read() {
+  Item item;
+  JPAR_RETURN_NOT_OK(ReadValue<true>(0, &item));
+  return item;
+}
+
+Status ItemReader::Skip() { return ReadValue<false>(0, nullptr); }
+
+Status ItemReader::ScanObjectFields(const std::vector<std::string>& keys,
+                                    std::vector<std::string_view>* spans) {
+  spans->assign(keys.size(), std::string_view());
+  if (pos_ >= data_.size()) {
+    return Status::Internal("truncated binary item");
+  }
+  if (static_cast<ItemKind>(data_[pos_]) != ItemKind::kObject) {
+    return Status::Internal("binary item is not an object");
+  }
+  ++pos_;
+  JPAR_ASSIGN_OR_RETURN(uint64_t count, ReadVarint());
+  for (uint64_t i = 0; i < count; ++i) {
+    JPAR_ASSIGN_OR_RETURN(std::string_view key, ReadKey());
+    const size_t begin = pos_;
+    JPAR_RETURN_NOT_OK(ReadValue<false>(1, nullptr));
+    for (size_t k = 0; k < keys.size(); ++k) {
+      std::string_view& span = (*spans)[k];
+      if (span.empty() && keys[k] == key) {
+        span = data_.substr(begin, pos_ - begin);
+        break;
+      }
+    }
+  }
+  return Status::OK();
+}
 
 std::string SerializeItem(const Item& item) {
   std::string out;

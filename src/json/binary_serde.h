@@ -54,8 +54,22 @@ class ItemReader {
   explicit ItemReader(std::string_view data) : data_(data) {}
 
   Result<Item> Read();
+  /// Walks one item exactly as Read does — the same bounds checks,
+  /// depth cap and errors, ending at the same position — without
+  /// building it.
+  Status Skip();
+  /// Walks one object item exactly as Read does and records in
+  /// (*spans)[i] the encoded bytes of the first field named keys[i]
+  /// (the one Item::GetField picks), empty when the object has none.
+  /// Fails where Read fails, and on an item that is not an object.
+  /// The scan filter (projecting_reader.h) tests a cached record
+  /// through these spans before deciding to decode it.
+  Status ScanObjectFields(const std::vector<std::string>& keys,
+                          std::vector<std::string_view>* spans);
   bool AtEnd() const { return pos_ >= data_.size(); }
   size_t position() const { return pos_; }
+  /// Moves the reader back to an earlier position() (a record start).
+  void Rewind(size_t pos) { pos_ = pos; }
 
   static int64_t UnZigZag(uint64_t v) {
     return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
@@ -63,7 +77,12 @@ class ItemReader {
 
  private:
   Result<uint64_t> ReadVarint();
-  Result<Item> ReadValue(int depth);
+  /// An object field's key (varint length + bytes), as a view.
+  Result<std::string_view> ReadKey();
+  /// Reads one value at depth `depth`, building it into *out when
+  /// kBuild is set; Read and Skip share this walk.
+  template <bool kBuild>
+  Status ReadValue(int depth, Item* out);
 
   std::string_view data_;
   size_t pos_ = 0;

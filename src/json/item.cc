@@ -124,11 +124,17 @@ Item Item::MakeSequence(ItemVector items) {
 }
 
 std::optional<Item> Item::GetField(std::string_view key) const {
-  if (!is_object()) return std::nullopt;
+  const Item* field = FindField(key);
+  if (field == nullptr) return std::nullopt;
+  return *field;
+}
+
+const Item* Item::FindField(std::string_view key) const {
+  if (!is_object()) return nullptr;
   for (const Field& f : object()) {
-    if (f.key == key) return f.value;
+    if (f.key == key) return &f.value;
   }
-  return std::nullopt;
+  return nullptr;
 }
 
 bool Item::Equals(const Item& other) const {

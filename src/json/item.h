@@ -114,6 +114,9 @@ class Item {
 
   /// Object field lookup by key; nullopt when absent or not an object.
   std::optional<Item> GetField(std::string_view key) const;
+  /// GetField without the copy: the first field named `key`, borrowed
+  /// from this object; null when absent or not an object.
+  const Item* FindField(std::string_view key) const;
 
   /// Number of items this value contributes to a sequence: 0 for the
   /// empty sequence, n for a sequence of n, 1 otherwise.

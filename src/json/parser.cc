@@ -459,9 +459,9 @@ Status JsonCursor::ValidateValue(int depth) {
 }
 
 Status JsonCursor::ScanObjectFields(const std::vector<std::string>& keys,
-                                    std::vector<FieldSpan>* fields,
+                                    std::vector<std::string_view>* spans,
                                     int depth) {
-  fields->assign(keys.size(), FieldSpan{});
+  spans->assign(keys.size(), std::string_view());
   if (depth > kMaxDepth) return ErrorHere("document too deeply nested");
   SkipWhitespace();
   if (!Consume('{')) return ErrorHere("expected object");
@@ -474,10 +474,9 @@ Status JsonCursor::ScanObjectFields(const std::vector<std::string>& keys,
     const size_t begin = pos_;
     JPAR_RETURN_NOT_OK(ValidateValue(depth + 1));
     for (size_t i = 0; i < keys.size(); ++i) {
-      FieldSpan& f = (*fields)[i];
-      if (f.text.empty() && keys[i] == key) {
-        f.begin = begin;
-        f.text = text_.substr(begin, pos_ - begin);
+      std::string_view& span = (*spans)[i];
+      if (span.empty() && keys[i] == key) {
+        span = text_.substr(begin, pos_ - begin);
         break;
       }
     }

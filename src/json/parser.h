@@ -60,22 +60,22 @@ class JsonCursor {
   /// ParseValue rejects is rejected here too.
   Status ValidateValue(int depth = 0);
 
-  /// Where one field's value lies in the cursor's text: `text` is its
-  /// raw JSON (empty when the field is absent), `begin` its offset.
-  struct FieldSpan {
-    size_t begin = 0;
-    std::string_view text;
-  };
-
   /// Walks the object at the cursor exactly as ParseValue would — the
   /// same grammar, so the same objects fail, and the same end position
   /// — checking every value with ValidateValue, and records in
-  /// (*fields)[i] the value of the first field named keys[i] (the one
-  /// Item::GetField picks). Keys are compared decoded, so an escaped
-  /// spelling of a key matches. The scan filter (projecting_reader.h)
-  /// tests a record through these spans before deciding to build it.
+  /// (*spans)[i] the raw JSON of the first field named keys[i] (the one
+  /// Item::GetField picks), empty when the object has none. Keys are
+  /// compared decoded, so an escaped spelling of a key matches. The
+  /// scan filter (projecting_reader.h) tests a record through these
+  /// spans before deciding to build it.
   Status ScanObjectFields(const std::vector<std::string>& keys,
-                          std::vector<FieldSpan>* fields, int depth = 0);
+                          std::vector<std::string_view>* spans,
+                          int depth = 0);
+  /// The position() at which `span`, a view into the cursor's text,
+  /// begins.
+  size_t OffsetOf(std::string_view span) const {
+    return static_cast<size_t>(span.data() - text_.data());
+  }
 
   void SkipWhitespace();
   bool AtEnd() {

@@ -90,56 +90,24 @@ class Projector {
     cursor_.SkipWhitespace();
     if (cursor_.Peek() != '{') return true;
     const size_t start = cursor_.position();
-    if (cursor_.ScanObjectFields(filter_->keys, &fields_).ok() &&
-        !Verdict()) {
-      if (filter_->dropped) JPAR_RETURN_NOT_OK(filter_->dropped());
-      return false;
+    if (cursor_.ScanObjectFields(filter_->keys, &spans_).ok()) {
+      // The walk validated the probed values, so re-parsing them
+      // succeeds.
+      const size_t end = cursor_.position();
+      const bool keep = filter_->Verdict(
+          ScanFilter::Encoding::kText, spans_, [this](size_t i) {
+            cursor_.Rewind(cursor_.OffsetOf(spans_[i]));
+            return cursor_.ParseValue(1);
+          });
+      cursor_.Rewind(end);
+      if (!keep) {
+        if (filter_->dropped) JPAR_RETURN_NOT_OK(filter_->dropped());
+        return false;
+      }
     }
     cursor_.Rewind(start);
     return true;
   }
-
-  /// The filter's verdict on the fields ScanObjectFields just found,
-  /// from the memo when their raw text repeats. Leaves the cursor where
-  /// it was.
-  bool Verdict() {
-    verdict_key_.clear();
-    for (const JsonCursor::FieldSpan& f : fields_) {
-      // Length-prefixed, so absent (0) and every text are distinct.
-      const uint64_t len = f.text.size();
-      verdict_key_.append(reinterpret_cast<const char*>(&len), sizeof(len));
-      verdict_key_.append(f.text);
-    }
-    const size_t hash = std::hash<std::string_view>()(verdict_key_);
-    const uint32_t id = filter_->verdict_keys.Find(verdict_key_, hash);
-    if (id != KeyIndex::kAbsent) return filter_->verdicts[id];
-    // A miss builds the slim record. Its values were validated by the
-    // walk, so re-parsing them succeeds.
-    const size_t end = cursor_.position();
-    Item::Object slim;
-    for (size_t i = 0; i < fields_.size(); ++i) {
-      if (fields_[i].text.empty()) continue;
-      cursor_.Rewind(fields_[i].begin);
-      Result<Item> value = cursor_.ParseValue(1);
-      if (!value.ok()) {
-        cursor_.Rewind(end);
-        return true;
-      }
-      slim.push_back({filter_->keys[i], *std::move(value)});
-    }
-    cursor_.Rewind(end);
-    const bool keep = filter_->keep(Item::MakeObject(std::move(slim)));
-    if (filter_->verdicts.size() >= kMaxVerdicts) {
-      filter_->verdict_keys.Clear();
-      filter_->verdicts.clear();
-    }
-    filter_->verdict_keys.Insert(verdict_key_, hash);
-    filter_->verdicts.push_back(keep);
-    return keep;
-  }
-
-  /// Bounds the verdict memo; a full memo starts over.
-  static constexpr size_t kMaxVerdicts = 8192;
 
   Status ProjectObjectKey(const std::string& key, size_t step, int depth) {
     cursor_.Consume('{');
@@ -229,11 +197,40 @@ class Projector {
   const std::function<Status(Item)>& sink_;
   ProjectionStats* stats_;
   ScanFilter* filter_;
-  std::vector<JsonCursor::FieldSpan> fields_;  // scratch of TestFilter
-  std::string verdict_key_;
+  std::vector<std::string_view> spans_;  // scratch of TestFilter
 };
 
 }  // namespace
+
+bool ScanFilter::Verdict(Encoding encoding,
+                         const std::vector<std::string_view>& spans,
+                         const std::function<Result<Item>(size_t)>& decode) {
+  memo_key_.assign(1, static_cast<char>(encoding));
+  for (std::string_view span : spans) {
+    // Length-prefixed, so absent (0) and every encoding are distinct.
+    const uint64_t len = span.size();
+    memo_key_.append(reinterpret_cast<const char*>(&len), sizeof(len));
+    memo_key_.append(span);
+  }
+  const size_t hash = std::hash<std::string_view>()(memo_key_);
+  const uint32_t id = memo_.Find(memo_key_, hash);
+  if (id != KeyIndex::kAbsent) return verdicts_[id];
+  Item::Object slim;
+  for (size_t i = 0; i < spans.size(); ++i) {
+    if (spans[i].empty()) continue;
+    Result<Item> value = decode(i);
+    if (!value.ok()) return true;
+    slim.push_back({keys[i], *std::move(value)});
+  }
+  const bool verdict = keep(Item::MakeObject(std::move(slim)));
+  if (verdicts_.size() >= kMaxVerdicts) {
+    memo_.Clear();
+    verdicts_.clear();
+  }
+  memo_.Insert(memo_key_, hash);
+  verdicts_.push_back(verdict);
+  return verdict;
+}
 
 namespace {
 
@@ -383,8 +380,8 @@ Status NavigateItemPath(const Item& item, const std::vector<PathStep>& steps,
   switch (step.kind) {
     case PathStep::Kind::kKey: {
       if (!item.is_object()) return Status::OK();
-      std::optional<Item> field = item.GetField(step.key);
-      if (!field.has_value()) return Status::OK();
+      const Item* field = item.FindField(step.key);
+      if (field == nullptr) return Status::OK();
       return NavigateItemPath(*field, steps, from + 1, sink);
     }
     case PathStep::Kind::kIndex: {

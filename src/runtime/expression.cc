@@ -715,9 +715,9 @@ Result<Item> ValueStep(const Item& target, const Item& spec) {
       // value(object, non-string) selects nothing.
       return Item::EmptySequence();
     }
-    std::optional<Item> field = target.GetField(spec.string_value());
-    if (!field.has_value()) return Item::EmptySequence();
-    return *std::move(field);
+    const Item* field = target.FindField(spec.string_value());
+    if (field == nullptr) return Item::EmptySequence();
+    return *field;
   }
   if (target.is_array()) {
     if (!spec.is_int64()) return Item::EmptySequence();

@@ -38,13 +38,7 @@ Status KeyEncoder::Encode(const Tuple& tuple, EvalContext* ctx,
       if (key_items != nullptr) key_items->push_back(*target);
     } else if (target != nullptr && target->is_object()) {
       // ValueStep on an object: the first field named `field`, else ().
-      const Item* value = nullptr;
-      for (const ObjectField& f : target->object()) {
-        if (f.key == *part.field) {
-          value = &f.value;
-          break;
-        }
-      }
+      const Item* value = target->FindField(*part.field);
       if (value != nullptr) {
         value->AppendGroupKeyTo(out);
         if (key_items != nullptr) key_items->push_back(*value);

@@ -135,12 +135,13 @@ bool ParseColumnPayload(std::string_view data, ColumnData* out) {
     }
     b.values.assign(data.data() + pos, values_len);
     pos += values_len;
-    // Full decode validation: every value must round-trip and the row
-    // count must match, so the serving path can trust the block.
+    // Full decode validation: every value must decode (Skip accepts
+    // exactly what Read does, without building) and the row count must
+    // match, so the serving path can trust the block.
     ItemReader reader(b.values);
     uint32_t decoded = 0;
     while (!reader.AtEnd()) {
-      if (!reader.Read().ok()) return false;
+      if (!reader.Skip().ok()) return false;
       ++decoded;
     }
     if (decoded != b.rows) return false;
