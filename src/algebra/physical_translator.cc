@@ -131,15 +131,25 @@ void AnnotateZonePredicate(PNode* node) {
   node->scan.zone_value = constant->AsDouble();
 }
 
-/// Adds to *keys (deduplicated) the field k of every value($col0, "k")
-/// in `ev`. False when `ev` reads column 0 any other way, is opaque, or
-/// reads a data source (collection()/json-doc() are not pure).
-bool CollectFilterKeys(const ScalarEval& ev, std::vector<std::string>* keys) {
+/// How a scan filter's prefix reads column 0, the scanned item:
+/// through value($col0, "k") for each k in `keys`, and/or `whole`, as
+/// the item itself.
+struct FilterReads {
+  std::vector<std::string> keys;
+  bool whole = false;
+};
+
+/// Adds to *reads every way `ev` reads column 0: the field k of each
+/// value($col0, "k") (deduplicated), and any other use of the column.
+/// False when `ev` is opaque or reads a data source
+/// (collection()/json-doc() are not pure).
+bool CollectFilterReads(const ScalarEval& ev, FilterReads* reads) {
   switch (ev.shape()) {
     case ScalarEval::Shape::kConstant:
       return true;
     case ScalarEval::Shape::kColumn:
-      return ev.shape_column() != 0;
+      if (ev.shape_column() == 0) reads->whole = true;
+      return true;
     case ScalarEval::Shape::kOpaque:
       return false;
     case ScalarEval::Shape::kFunction:
@@ -153,23 +163,27 @@ bool CollectFilterKeys(const ScalarEval& ev, std::vector<std::string>* keys) {
       args[0]->shape_column() == 0) {
     const Item* key = args[1]->shape_constant();
     if (key == nullptr || !key->is_string()) return false;
-    if (std::find(keys->begin(), keys->end(), key->string_value()) ==
-        keys->end()) {
-      keys->push_back(key->string_value());
+    std::vector<std::string>& keys = reads->keys;
+    if (std::find(keys.begin(), keys.end(), key->string_value()) ==
+        keys.end()) {
+      keys.push_back(key->string_value());
     }
     return true;
   }
   return std::all_of(args.begin(), args.end(), [&](const ScalarEvalPtr& a) {
-    return CollectFilterKeys(*a, keys);
+    return CollectFilterReads(*a, reads);
   });
 }
 
 /// Records the scan filter (DESIGN.md §9): the leading ASSIGNs and
 /// SELECTs of the leaf pipeline, up to its last leading SELECT, become
-/// one predicate the reader tests before building each object. Only a
-/// pipeline whose prefix reads the scanned item through constant-key
-/// value() steps qualifies — then a slim record of those keys answers
-/// every read exactly as the full object would.
+/// one predicate the reader tests before building each record. A
+/// prefix qualifies when it reads the scanned item only through
+/// constant-key value() steps — then a slim record of those keys
+/// answers every read exactly as the full object would — or only as
+/// the whole item (Q0b's dateTime(data($r))), which the reader then
+/// tests on atomic values decoded alone. A prefix that reads it both
+/// ways gets no filter.
 void AnnotateScanFilter(PNode* node) {
   size_t end = 0;  // one past the last SELECT of the leading prefix
   for (size_t i = 0; i < node->ops.size(); ++i) {
@@ -181,13 +195,15 @@ void AnnotateScanFilter(PNode* node) {
     }
   }
   if (end == 0) return;
-  std::vector<std::string> keys;
+  FilterReads reads;
   for (size_t i = 0; i < end; ++i) {
-    if (!CollectFilterKeys(*node->ops[i].eval, &keys)) return;
+    if (!CollectFilterReads(*node->ops[i].eval, &reads)) return;
   }
+  if (reads.whole && !reads.keys.empty()) return;
   node->scan.filter = MakeChainPredicate(std::vector<UnaryOpDesc>(
       node->ops.begin(), node->ops.begin() + static_cast<std::ptrdiff_t>(end)));
-  node->scan.filter_keys = std::move(keys);
+  node->scan.filter_keys = std::move(reads.keys);
+  node->scan.filter_whole_value = reads.whole;
 }
 
 /// Compile-time scan-predicate annotation, run as each SELECT joins a

@@ -68,7 +68,7 @@ bool Cluster::CanDistribute(const PhysicalPlan& plan) {
 
 Status Cluster::Start() {
   std::lock_guard<std::mutex> qlock(query_mu_);
-  return EnsureWorkers();
+  return EnsureWorkers(nullptr);
 }
 
 void Cluster::Stop() {
@@ -96,7 +96,7 @@ void Cluster::Stop() {
   workers_.clear();
 }
 
-Status Cluster::EnsureWorkers() {
+Status Cluster::EnsureWorkers(uint64_t* respawned) {
   if (stopped_) return Status::Internal("cluster already stopped");
   JPAR_RETURN_NOT_OK(ValidateDistOptions(options_));
   const int total = worker_count();
@@ -137,14 +137,34 @@ Status Cluster::EnsureWorkers() {
       w->death = Status::OK();
     }
     JPAR_RETURN_NOT_OK(w->local ? SpawnLocal(w.get()) : AttachRemote(w.get()));
+    if (options_.test_spawn_hook && w->local) {
+      options_.test_spawn_hook(w->rank, w->pid);
+    }
+    const bool again = w->started;
+    w->started = true;
     {
       std::lock_guard<std::mutex> lock(mu_);
       w->alive = true;
     }
     w->last_heard_ms.store(NowMs());
     w->reader = std::thread(&Cluster::ReaderLoop, this, w.get());
-    JPAR_RETURN_NOT_OK(AwaitHello(w.get()));
-    JPAR_RETURN_NOT_OK(SendTo(&w->send_mu, &w->sock, MsgType::kHelloAck, ""));
+    Status hello = AwaitHello(w.get());
+    if (hello.ok()) {
+      Status ack = SendTo(&w->send_mu, &w->sock, MsgType::kHelloAck, "");
+      if (!ack.ok()) {
+        hello = Status::WorkerLost("hello ack to worker " +
+                                   std::to_string(w->rank) +
+                                   " failed: " + ack.ToString());
+      }
+    }
+    if (!hello.ok()) {
+      // Leave the rank dead, not half-started, so the next
+      // EnsureWorkers respawns it even when the hello only timed out.
+      DropWorker(w.get(), hello);
+      if (w->reader.joinable()) w->reader.join();
+      return hello;
+    }
+    if (again && respawned != nullptr) ++*respawned;
   }
   started_ = true;
   return Status::OK();
@@ -770,6 +790,39 @@ Status Cluster::SyncCatalog(const Catalog& catalog) {
   return Status::OK();
 }
 
+Status Cluster::RetryBackoff(int attempt, QueryContext* ctx) {
+  // Exponential backoff, sliced so cancellation stays responsive.
+  int shift = attempt - 1 < 20 ? attempt - 1 : 20;
+  int64_t backoff_ms = static_cast<int64_t>(options_.retry_backoff_ms)
+                       << shift;
+  if (backoff_ms > options_.worker_timeout_ms) {
+    backoff_ms = options_.worker_timeout_ms;
+  }
+  auto backoff_until = std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(backoff_ms);
+  while (std::chrono::steady_clock::now() < backoff_until) {
+    JPAR_RETURN_NOT_OK(ctx->Check("fragment retry backoff"));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  return Status::OK();
+}
+
+Status Cluster::StartQueryWorkers(const Catalog& catalog, QueryContext* ctx,
+                                  ExecStats* stats) {
+  for (int attempt = 0;; ++attempt) {
+    // A query's first pass starts whatever the last one lost; only the
+    // respawns of a retry count, as in the stage rounds.
+    Status st =
+        EnsureWorkers(attempt > 0 ? &stats->workers_respawned : nullptr);
+    if (st.ok()) st = SyncCatalog(catalog);
+    if (st.ok() || st.code() != StatusCode::kWorkerLost ||
+        attempt >= options_.max_fragment_retries) {
+      return st;
+    }
+    JPAR_RETURN_NOT_OK(RetryBackoff(attempt + 1, ctx));
+  }
+}
+
 Result<QueryOutput> Cluster::Run(const std::string& query,
                                  const RuleOptions& rules,
                                  const ExecOptions& exec,
@@ -782,10 +835,10 @@ Result<QueryOutput> Cluster::Run(const std::string& query,
     if (exec.deadline_ms > 0) local_ctx.set_deadline_after_ms(exec.deadline_ms);
     ctx = &local_ctx;
   }
-  JPAR_RETURN_NOT_OK(EnsureWorkers());
   JPAR_ASSIGN_OR_RETURN(StagePlan split,
                         SplitPlanForDistribution(compiled.physical));
-  JPAR_RETURN_NOT_OK(SyncCatalog(catalog));
+  QueryOutput out;
+  JPAR_RETURN_NOT_OK(StartQueryWorkers(catalog, ctx, &out.stats));
 
   // Size the exchange credit window from the plan's cardinality
   // estimate: a query the cost model expects to produce few rows does
@@ -803,7 +856,6 @@ Result<QueryOutput> Cluster::Run(const std::string& query,
 
   const int W = worker_count();
   auto start = std::chrono::steady_clock::now();
-  QueryOutput out;
   out.stats.dist_workers = static_cast<uint64_t>(W);
 
   // Replay-buffer lifecycle: stage t's banked frames can be freed once
@@ -853,38 +905,12 @@ Result<QueryOutput> Cluster::Run(const std::string& query,
       --retries_left;
       ++attempt;
       out.stats.fragment_retries += lost.size();
-      // Exponential backoff, sliced so cancellation stays responsive.
-      int shift = attempt - 1 < 20 ? attempt - 1 : 20;
-      int64_t backoff_ms = static_cast<int64_t>(options_.retry_backoff_ms)
-                           << shift;
-      if (backoff_ms > options_.worker_timeout_ms) {
-        backoff_ms = options_.worker_timeout_ms;
-      }
-      auto backoff_until = std::chrono::steady_clock::now() +
-                           std::chrono::milliseconds(backoff_ms);
-      while (std::chrono::steady_clock::now() < backoff_until) {
-        JPAR_RETURN_NOT_OK(ctx->Check("fragment retry backoff"));
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      }
+      JPAR_RETURN_NOT_OK(RetryBackoff(attempt, ctx));
       // Respawn dead ranks and resync their catalogs. Best-effort: a
       // rank that cannot be revived (or resynced) is simply lost again
       // on the next attempt, which consumes the remaining budget and
       // fails cleanly.
-      auto count_dead = [&] {
-        std::lock_guard<std::mutex> lock(mu_);
-        int n = 0;
-        for (auto& w : workers_) {
-          if (!w->alive) ++n;
-        }
-        return n;
-      };
-      int dead_before = count_dead();
-      Status revive = EnsureWorkers();
-      int dead_after = count_dead();
-      if (dead_before > dead_after) {
-        out.stats.workers_respawned +=
-            static_cast<uint64_t>(dead_before - dead_after);
-      }
+      Status revive = EnsureWorkers(&out.stats.workers_respawned);
       if (revive.ok()) (void)SyncCatalog(catalog);
       ranks = std::move(lost);
     }

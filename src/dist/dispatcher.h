@@ -48,7 +48,8 @@ struct DistOptions {
   /// disables recovery: any worker loss surfaces immediately, the
   /// pre-§12 behavior. Recompilation is deterministic and retried
   /// fragments replay their recorded inputs, so a retry re-executes
-  /// the exact same fragment.
+  /// the exact same fragment. A query's start-up (spawn, hello,
+  /// catalog sync) has a budget of its own of the same size.
   int max_fragment_retries = 0;
   /// Base backoff before re-dispatching a lost fragment; doubles per
   /// consecutive retry of the same stage (capped at worker_timeout_ms).
@@ -64,6 +65,11 @@ struct DistOptions {
   /// chaos tests place kills deterministically. Must be thread-safe
   /// against worker reader threads (it runs on the Run() thread).
   std::function<void(int stage_id, int attempt)> test_round_hook;
+  /// Test hook fired with (rank, pid) right after a local worker is
+  /// forked, before the dispatcher awaits its hello. Lets the chaos
+  /// tests kill a worker during start-up. Runs on the thread that
+  /// starts the workers.
+  std::function<void(int rank, pid_t pid)> test_spawn_hook;
 
   bool enabled() const { return local_workers > 0 || !endpoints.empty(); }
 };
@@ -117,9 +123,10 @@ class Cluster {
   /// be null; with a null ctx a positive exec.deadline_ms starts
   /// counting now. A worker that dies or goes silent mid-query is
   /// respawned and its fragment re-dispatched (with replayed inputs)
-  /// up to max_fragment_retries times per stage; past the budget — or
-  /// always, when the budget is 0 — the query yields kWorkerLost and
-  /// local workers are respawned on the next query.
+  /// up to max_fragment_retries times per stage, and one lost while the
+  /// query starts its workers is respawned up to as many times; past
+  /// the budget — or always, when the budget is 0 — the query yields
+  /// kWorkerLost and local workers are respawned on the next query.
   Result<QueryOutput> Run(const std::string& query, const RuleOptions& rules,
                           const ExecOptions& exec,
                           const CompiledQuery& compiled,
@@ -134,6 +141,7 @@ class Cluster {
     std::mutex send_mu;
     std::thread reader;
     pid_t pid = -1;  // local child pid; -1 until hello (attached: remote pid)
+    bool started = false;  // spawned or attached at least once
 
     // State below is guarded by Cluster::mu_ unless noted.
     bool alive = false;
@@ -170,7 +178,11 @@ class Cluster {
     QueryContext* ctx = nullptr;  // for exchange fault injection
   };
 
-  Status EnsureWorkers();
+  /// Spawns or attaches every rank that is not alive and awaits its
+  /// hello; a rank lost on the way is left dead and fails the call
+  /// with kWorkerLost. Adds to *respawned (when non-null) each rank
+  /// started again after an earlier incarnation.
+  Status EnsureWorkers(uint64_t* respawned);
   Status SpawnLocal(Worker* worker);
   Status AttachRemote(Worker* worker);
   Status AwaitHello(Worker* worker);
@@ -178,6 +190,18 @@ class Cluster {
   void ReapLocal(Worker* worker, bool graceful);
 
   Status SyncCatalog(const Catalog& catalog);
+
+  /// Before a query's first round: EnsureWorkers, then SyncCatalog. A
+  /// rank lost on the way (killed before its hello, say) is retried
+  /// like a lost fragment — up to max_fragment_retries times, after
+  /// the same backoff — and a retry's respawns count in
+  /// stats->workers_respawned. Other failures return at once.
+  Status StartQueryWorkers(const Catalog& catalog, QueryContext* ctx,
+                           ExecStats* stats);
+  /// Sleeps the backoff before retry `attempt` (1-based): doubling per
+  /// attempt, capped at worker_timeout_ms, in slices so cancellation
+  /// stays responsive.
+  Status RetryBackoff(int attempt, QueryContext* ctx);
 
   /// One dispatch attempt of `stage` over the ranks in `ranks` (every
   /// other rank is treated as already complete — its output is banked

@@ -157,27 +157,37 @@ Status JsonCursor::DecodeStringBody(std::string* out) {
   return ErrorHere("unterminated string");
 }
 
-Result<Item> JsonCursor::ParseNumber() {
-  size_t start = pos_;
+Status JsonCursor::ScanNumber(bool* is_double) {
   if (Peek() == '-') ++pos_;
-  while (IsDigit(Peek())) ++pos_;
-  bool is_double = false;
+  bool mantissa = false;  // a digit before the exponent
+  while (IsDigit(Peek())) {
+    ++pos_;
+    mantissa = true;
+  }
+  *is_double = false;
   if (Peek() == '.') {
-    is_double = true;
+    *is_double = true;
     ++pos_;
     if (!IsDigit(Peek())) return ErrorHere("digit expected after '.'");
     while (IsDigit(Peek())) ++pos_;
+    mantissa = true;
   }
   if (Peek() == 'e' || Peek() == 'E') {
-    is_double = true;
+    *is_double = true;
     ++pos_;
     if (Peek() == '+' || Peek() == '-') ++pos_;
     if (!IsDigit(Peek())) return ErrorHere("digit expected in exponent");
     while (IsDigit(Peek())) ++pos_;
   }
-  if (pos_ == start || (pos_ == start + 1 && text_[start] == '-')) {
-    return ErrorHere("invalid number");
-  }
+  // "-" and "-e5" have no mantissa digit: strtod reads none of them.
+  if (!mantissa) return ErrorHere("invalid number");
+  return Status::OK();
+}
+
+Result<Item> JsonCursor::ParseNumber() {
+  const size_t start = pos_;
+  bool is_double = false;
+  JPAR_RETURN_NOT_OK(ScanNumber(&is_double));
   std::string token(text_.substr(start, pos_ - start));
   if (!is_double) {
     errno = 0;
@@ -302,24 +312,8 @@ Status JsonCursor::SkipAtom() {
     return ErrorHere("invalid literal");
   }
   if (c == '-' || IsDigit(c)) {
-    size_t start = pos_;
-    if (Peek() == '-') ++pos_;
-    while (IsDigit(Peek())) ++pos_;
-    if (Peek() == '.') {
-      ++pos_;
-      if (!IsDigit(Peek())) return ErrorHere("digit expected after '.'");
-      while (IsDigit(Peek())) ++pos_;
-    }
-    if (Peek() == 'e' || Peek() == 'E') {
-      ++pos_;
-      if (Peek() == '+' || Peek() == '-') ++pos_;
-      if (!IsDigit(Peek())) return ErrorHere("digit expected in exponent");
-      while (IsDigit(Peek())) ++pos_;
-    }
-    if (pos_ == start || (pos_ == start + 1 && text_[start] == '-')) {
-      return ErrorHere("invalid number");
-    }
-    return Status::OK();
+    bool is_double = false;
+    return ScanNumber(&is_double);
   }
   return ErrorHere("unexpected character");
 }

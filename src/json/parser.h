@@ -76,6 +76,11 @@ class JsonCursor {
   size_t OffsetOf(std::string_view span) const {
     return static_cast<size_t>(span.data() - text_.data());
   }
+  /// The cursor's text from an earlier position() `begin` up to the
+  /// cursor.
+  std::string_view SpanFrom(size_t begin) const {
+    return text_.substr(begin, pos_ - begin);
+  }
 
   void SkipWhitespace();
   bool AtEnd() {
@@ -101,6 +106,10 @@ class JsonCursor {
 
  private:
   Result<Item> ParseNumber();
+  /// Walks the number token at the cursor with ParseNumber's grammar
+  /// and messages, without converting it; sets *is_double when it has
+  /// a fraction or an exponent. ParseNumber and SkipAtom share it.
+  Status ScanNumber(bool* is_double);
   Status Expect(char c);
   /// ParseString's checks without building the string.
   Status ValidateString();

@@ -83,14 +83,20 @@ class Projector {
 
   /// Tests the record at the cursor against the scan filter. Returns
   /// false, with the cursor past the record, only for a well-formed
-  /// object the filter rejects; otherwise rewinds to the record start,
-  /// so Emit builds it — and ParseValue, not this pass, reports any
+  /// record the filter rejects: an object, or with `whole_value` an
+  /// atomic value. Otherwise rewinds to the record start, so Emit
+  /// builds it — and ParseValue, not this pass, reports any
   /// malformation.
   Result<bool> TestFilter() {
     cursor_.SkipWhitespace();
-    if (cursor_.Peek() != '{') return true;
+    const char c = cursor_.Peek();
+    if (filter_->whole_value ? c == '{' || c == '[' : c != '{') return true;
     const size_t start = cursor_.position();
-    if (cursor_.ScanObjectFields(filter_->keys, &spans_).ok()) {
+    const Status walk = filter_->whole_value
+                            ? cursor_.ValidateValue()
+                            : cursor_.ScanObjectFields(filter_->keys, &spans_);
+    if (walk.ok()) {
+      if (filter_->whole_value) spans_.assign(1, cursor_.SpanFrom(start));
       // The walk validated the probed values, so re-parsing them
       // succeeds.
       const size_t end = cursor_.position();
@@ -215,14 +221,22 @@ bool ScanFilter::Verdict(Encoding encoding,
   const size_t hash = std::hash<std::string_view>()(memo_key_);
   const uint32_t id = memo_.Find(memo_key_, hash);
   if (id != KeyIndex::kAbsent) return verdicts_[id];
-  Item::Object slim;
-  for (size_t i = 0; i < spans.size(); ++i) {
-    if (spans[i].empty()) continue;
-    Result<Item> value = decode(i);
+  Item probe;
+  if (whole_value) {
+    Result<Item> value = decode(0);
     if (!value.ok()) return true;
-    slim.push_back({keys[i], *std::move(value)});
+    probe = *std::move(value);
+  } else {
+    Item::Object slim;
+    for (size_t i = 0; i < spans.size(); ++i) {
+      if (spans[i].empty()) continue;
+      Result<Item> value = decode(i);
+      if (!value.ok()) return true;
+      slim.push_back({keys[i], *std::move(value)});
+    }
+    probe = Item::MakeObject(std::move(slim));
   }
-  const bool verdict = keep(Item::MakeObject(std::move(slim)));
+  const bool verdict = keep(probe);
   if (verdicts_.size() >= kMaxVerdicts) {
     memo_.Clear();
     verdicts_.clear();

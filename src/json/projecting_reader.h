@@ -63,12 +63,14 @@ struct ProjectionStats {
 };
 
 /// Filter-before-build (DESIGN.md §9): a predicate a scan tests on
-/// each selected object record before building it. The reader walks
-/// the record once, validating every value exactly as a full decode
-/// would and noting where the fields named in `keys` lie. A record is
-/// dropped — never built, never emitted, never counted in
-/// ProjectionStats — only when the predicate rejects it. For a
-/// non-object item, a record the walk rejects, or one the predicate
+/// each selected record before building it. The reader walks the
+/// record once, validating every value exactly as a full decode would
+/// and noting where the probed values lie: the fields named in `keys`
+/// of an object record or, with `whole_value`, an atomic record itself.
+/// A record is dropped — never built, never emitted, never counted in
+/// ProjectionStats — only when the predicate rejects it. For a record
+/// of another kind (a non-object with keys, an object or array with
+/// `whole_value`), a record the walk rejects, or one the predicate
 /// keeps, the reader rewinds to the record start and builds it as it
 /// would without a filter, so a malformed record fails with the same
 /// status wherever it is malformed. The JSON text reader and the
@@ -76,17 +78,17 @@ struct ProjectionStats {
 /// both test records through Verdict.
 ///
 /// `keep` sees a "slim record": an object holding the first occurrence
-/// of each key in `keys` that the record has. It must return false only
-/// for records every consumer would drop, and it must be a pure
-/// function of the slim record: Verdict memoizes verdicts, keyed by the
-/// encoded bytes of the probed values, and builds a slim record only
-/// for bytes it has not seen. So one ScanFilter serves one scanning
-/// thread at a time, and keeps its memo across the calls of that
-/// thread. Verdict assembles each record's memo key in the filter's own
-/// scratch string (`memo_key_`), so it writes the filter on every
-/// record; the alignment exists only for that scratch key: the workers'
-/// filters of one scan sit side by side in one vector and must not
-/// share a cache line.
+/// of each key in `keys` that the record has; with `whole_value`, the
+/// atomic record itself. It must return false only for records every
+/// consumer would drop, and it must be a pure function of what it sees:
+/// Verdict memoizes verdicts, keyed by the encoded bytes of the probed
+/// values, and decodes them only for bytes it has not seen. So one
+/// ScanFilter serves one scanning thread at a time, and keeps its memo
+/// across the calls of that thread. Verdict assembles each record's
+/// memo key in the filter's own scratch string (`memo_key_`), so it
+/// writes the filter on every record; the alignment exists only for
+/// that scratch key: the workers' filters of one scan sit side by side
+/// in one vector and must not share a cache line.
 class alignas(64) ScanFilter {
  public:
   /// How a record's probed values are encoded. Each encoding has its
@@ -95,6 +97,9 @@ class alignas(64) ScanFilter {
   enum class Encoding : char { kText = 't', kBinary = 'b' };
 
   std::vector<std::string> keys;
+  /// Probe the atomic record itself instead of fields of an object
+  /// record; `keys` is then empty.
+  bool whole_value = false;
   std::function<bool(const Item& slim)> keep;
   /// Called once per dropped record (counters, lifecycle polls); an
   /// error status aborts the scan like a sink error. May be empty.
@@ -102,10 +107,11 @@ class alignas(64) ScanFilter {
 
   /// The verdict on a record whose probed values are `spans`: spans[i]
   /// holds the encoded bytes of the first field named keys[i], empty
-  /// when the record has none. Answers from the memo when these bytes
-  /// repeat; otherwise builds the slim record from `decode(i)`, the
-  /// value of spans[i], and memoizes keep's answer. A decode failure
-  /// keeps the record, unmemoized.
+  /// when the record has none; with `whole_value`, spans[0] holds the
+  /// whole record. Answers from the memo when these bytes repeat;
+  /// otherwise builds the slim record from `decode(i)`, the value of
+  /// spans[i] (or hands keep decode(0) itself), and memoizes keep's
+  /// answer. A decode failure keeps the record, unmemoized.
   bool Verdict(Encoding encoding, const std::vector<std::string_view>& spans,
                const std::function<Result<Item>(size_t)>& decode);
 
@@ -174,7 +180,7 @@ Status ProjectJsonStream(std::string_view text,
 /// suffix index when a malformed record poisons the in-string mask,
 /// exactly like the tape-less path. `prebuilt` may be null (plain cold
 /// scan); kScalar mode ignores it. `filter`, when non-null, drops the
-/// object records it rejects before they are built (see ScanFilter).
+/// records it rejects before they are built (see ScanFilter).
 Status ProjectJsonStreamWithIndex(std::string_view text,
                                   const std::vector<PathStep>& steps,
                                   const StructuralIndex* prebuilt,

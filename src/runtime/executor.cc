@@ -101,10 +101,11 @@ StoragePolicy ApplyAccessHint(StoragePolicy base, AccessHint hint) {
 /// values in the original emit order, skipping blocks the zone map
 /// proves cannot satisfy the scan's annotated SELECT predicate. With a
 /// scan filter (DESIGN.md §9) each record is first walked in its binary
-/// form and dropped undecoded on a clean false for a well-formed
-/// object; every other record — a non-object, bytes the walk rejects, a
-/// true or an evaluation error — is decoded exactly as without one, and
-/// the pipeline's SELECT decides over it downstream.
+/// form and dropped undecoded on a clean false for a well-formed object
+/// or, with a whole-value filter, a well-formed atomic record; every
+/// other record — one of another kind, bytes the walk rejects, a true
+/// or an evaluation error — is decoded exactly as without one, and the
+/// pipeline's SELECT decides over it downstream.
 Status EmitColumn(const ColumnData& column, const ScanDesc& scan,
                   ScanFilter* filter, const std::function<Status(Item)>& emit,
                   uint64_t* blocks_pruned) {
@@ -115,17 +116,28 @@ Status EmitColumn(const ColumnData& column, const ScanDesc& scan,
       ++*blocks_pruned;
       continue;
     }
-    ItemReader reader(block.values);
+    const std::string_view values(block.values);
+    ItemReader reader(values);
     while (!reader.AtEnd()) {
       if (filter != nullptr) {
         const size_t start = reader.position();
-        if (reader.ScanObjectFields(filter->keys, &spans).ok() &&
-            !filter->Verdict(ScanFilter::Encoding::kBinary, spans,
-                             [&spans](size_t i) {
-                               return ItemReader(spans[i]).Read();
-                             })) {
-          if (filter->dropped) JPAR_RETURN_NOT_OK(filter->dropped());
-          continue;
+        const auto kind = static_cast<ItemKind>(values[start]);
+        const bool walked =
+            filter->whole_value
+                ? kind != ItemKind::kObject && kind != ItemKind::kArray &&
+                      reader.Skip().ok()
+                : reader.ScanObjectFields(filter->keys, &spans).ok();
+        if (walked) {
+          if (filter->whole_value) {
+            spans.assign(1, values.substr(start, reader.position() - start));
+          }
+          if (!filter->Verdict(ScanFilter::Encoding::kBinary, spans,
+                               [&spans](size_t i) {
+                                 return ItemReader(spans[i]).Read();
+                               })) {
+            if (filter->dropped) JPAR_RETURN_NOT_OK(filter->dropped());
+            continue;
+          }
         }
         reader.Rewind(start);
       }
@@ -237,10 +249,12 @@ class OpPipe {
 };
 
 /// One scan worker's filter (DESIGN.md §9): the plan's predicate over
-/// the slim record, with the worker's own evaluation scratch.
+/// the slim record (or the whole atomic record), with the worker's own
+/// evaluation scratch.
 ScanFilter WorkerScanFilter(const ScanDesc& scan) {
   ScanFilter filter;
   filter.keys = scan.filter_keys;
+  filter.whole_value = scan.filter_whole_value;
   filter.keep = [eval = scan.filter, ctx = EvalContext{},
                  row = Tuple(1)](const Item& slim) mutable {
     row[0] = slim;

@@ -124,6 +124,7 @@ std::string ScanDesc::ToString() const {
       }
       if (filter != nullptr) {
         out += " [filter:";
+        if (filter_whole_value) out += " whole value";
         for (const std::string& k : filter_keys) out += " \"" + k + "\"";
         out += "]";
       }

@@ -206,13 +206,16 @@ struct ScanDesc {
 
   /// Scan filter (DESIGN.md §9): the leaf pipeline's leading ASSIGNs
   /// and SELECTs as one predicate over column 0, which reads that
-  /// column only as value($col0, k) for k in `filter_keys`. Recorded by
-  /// the physical translator when RuleOptions::scan_filter is on; the
-  /// text and tape readers test it on a slim record of just those keys
-  /// and never build the objects it rejects. The ops stay in the
+  /// column only as value($col0, k) for k in `filter_keys`, or, when
+  /// `filter_whole_value` is set, only as the item itself (and
+  /// `filter_keys` is empty). Recorded by the physical translator when
+  /// RuleOptions::scan_filter is on; the readers test it on a slim
+  /// record of just those keys, or on each atomic item decoded alone,
+  /// and never build the records it rejects. The ops stay in the
   /// pipeline, so this is purely an accelerator.
   ScalarEvalPtr filter;
   std::vector<std::string> filter_keys;
+  bool filter_whole_value = false;
 
   /// Cost-model annotations (DESIGN.md §15); all advisory and
   /// answer-preserving. `morsel_bytes_hint` is honored only while

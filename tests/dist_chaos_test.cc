@@ -281,6 +281,48 @@ TEST(DistChaosTest, RetriesDisabledSurfaceWorkerLostUnchanged) {
   ExpectNoWorkerLeaks();
 }
 
+// A worker killed between its spawn and its hello is a start-up loss:
+// with a retry budget the query respawns it and answers; without one
+// the loss surfaces as kWorkerLost, and the next query starts afresh.
+TEST(DistChaosTest, WorkerKilledBeforeHelloIsRespawnedWithinTheBudget) {
+  Reference ref = MakeReference(kQ0b, 2);
+  ASSERT_NE(ref.compiled, nullptr);
+  EngineOptions opts;
+  opts.rules = RuleOptions::All();
+  opts.exec.partitions = 2;
+  for (int retries : {2, 0}) {
+    SCOPED_TRACE("max_fragment_retries=" + std::to_string(retries));
+    std::atomic<int> kills{0};
+    DistOptions dist = MakeDist(2);
+    dist.max_fragment_retries = retries;
+    dist.retry_backoff_ms = 25;
+    // Kills the first worker spawned, right after its fork.
+    dist.test_spawn_hook = [&kills](int /*rank*/, pid_t pid) {
+      if (kills.fetch_add(1) == 0) kill(pid, SIGKILL);
+    };
+    Cluster cluster(dist);
+    auto out = cluster.Run(kQ0b, opts.rules, opts.exec, *ref.compiled,
+                           *ref.engine->catalog(), nullptr);
+    if (retries > 0) {
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      EXPECT_EQ(Rows(*out), ref.rows);
+      EXPECT_EQ(out->stats.workers_respawned, 1u);
+      EXPECT_EQ(out->stats.fragment_retries, 0u);
+      EXPECT_EQ(kills.load(), 3);  // two ranks, one respawn
+    } else {
+      ASSERT_FALSE(out.ok());
+      EXPECT_EQ(out.status().code(), StatusCode::kWorkerLost)
+          << out.status().ToString();
+      auto again = cluster.Run(kQ0b, opts.rules, opts.exec, *ref.compiled,
+                               *ref.engine->catalog(), nullptr);
+      ASSERT_TRUE(again.ok()) << again.status().ToString();
+      EXPECT_EQ(Rows(*again), ref.rows);
+    }
+    cluster.Stop();
+    ExpectNoWorkerLeaks();
+  }
+}
+
 TEST(DistChaosTest, ZeroReplayBudgetSpillsAndLeavesNoFilesBehind) {
   // Force every banked stage output through the disk spill path, then
   // verify recovery still reproduces the reference rows and the spool

@@ -88,7 +88,10 @@ void CollectScans(const PNode* node, std::vector<const ScanDesc*>* out) {
   CollectScans(node->right.get(), out);
 }
 
-TEST(ScanFilterTest, PaperQueriesGetTheFilterExceptQ0b) {
+// Every paper query gets a filter with the flag on and none with it off.
+// Q0b reads its projected date itself, so its filter probes the whole
+// value and names no keys; Q0 probes the "date" field of each record.
+TEST(ScanFilterTest, PaperQueriesGetTheFilter) {
   Engine engine;
   for (const jparbench::NamedQuery& q : jparbench::kAllQueries) {
     SCOPED_TRACE(q.name);
@@ -97,9 +100,17 @@ TEST(ScanFilterTest, PaperQueriesGetTheFilterExceptQ0b) {
     std::vector<const ScanDesc*> scans;
     CollectScans(compiled->physical.root.get(), &scans);
     ASSERT_FALSE(scans.empty());
-    const bool string_path = std::string_view(q.name) == "Q0b";
+    const bool projected = std::string_view(q.name) == "Q0b";
     for (const ScanDesc* scan : scans) {
-      EXPECT_EQ(scan->filter == nullptr, string_path) << scan->ToString();
+      EXPECT_NE(scan->filter, nullptr) << scan->ToString();
+      EXPECT_EQ(scan->filter_whole_value, projected) << scan->ToString();
+      if (projected) {
+        EXPECT_TRUE(scan->filter_keys.empty());
+      }
+      EXPECT_NE(scan->ToString().find(projected ? "[filter: whole value]"
+                                                : "[filter: \""),
+                std::string::npos)
+          << scan->ToString();
     }
     if (std::string_view(q.name) == "Q0") {
       EXPECT_EQ(scans[0]->filter_keys, std::vector<std::string>{"date"});
@@ -108,8 +119,27 @@ TEST(ScanFilterTest, PaperQueriesGetTheFilterExceptQ0b) {
     ASSERT_TRUE(off.ok());
     scans.clear();
     CollectScans(off->physical.root.get(), &scans);
-    for (const ScanDesc* scan : scans) EXPECT_EQ(scan->filter, nullptr);
+    for (const ScanDesc* scan : scans) {
+      EXPECT_EQ(scan->filter, nullptr);
+      EXPECT_FALSE(scan->filter_whole_value);
+    }
   }
+}
+
+// A prefix that reads the scanned item both as a whole and through a
+// field gets no filter: neither a slim record nor an atomic probe
+// answers both reads.
+TEST(ScanFilterTest, PrefixReadingTheItemBothWaysGetsNoFilter) {
+  Engine engine;
+  auto compiled = engine.Compile(R"(
+    for $r in collection("/sensors")
+    where $r("dataType") eq "TMIN" and exists($r)
+    return $r)");
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  std::vector<const ScanDesc*> scans;
+  CollectScans(compiled->physical.root.get(), &scans);
+  ASSERT_EQ(scans.size(), 1u);
+  EXPECT_EQ(scans[0]->filter, nullptr) << scans[0]->ToString();
 }
 
 TEST(ScanFilterTest, PaperQueriesMatchWithoutTheFilter) {
@@ -579,6 +609,192 @@ TEST(ScanFilterTest, OneWorkerMixesColumnAndTextServedFiles) {
                 cold_filtered.stats.scan_items_filtered);
       EXPECT_GT(warm.stats.scan_items_filtered, 0u);
     }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Projected scans: the filter probes the projected value itself (Q0b)
+// ---------------------------------------------------------------------
+
+constexpr const char* kProjectedDateQuery = R"(
+  for $d in collection("/sensors")("date")
+  let $dt := dateTime(data($d))
+  where year-from-dateTime($dt) ge 2003 and month-from-dateTime($dt) eq 12
+  return $d)";
+
+constexpr const char* kNestedProjectedDateQuery = R"(
+  for $d in collection("/sensors")("results")()("date")
+  let $dt := dateTime(data($d))
+  where year-from-dateTime($dt) ge 2003 and month-from-dateTime($dt) eq 12
+  return $d)";
+
+/// A file of clean records with one odd projected value: `odd` is a
+/// whole record (NdjsonWith's placement), `tail` is appended after the
+/// last newline as it stands (a truncated last line).
+struct ProjectedCase {
+  const char* name;
+  std::string odd;
+  std::string tail;
+};
+
+std::vector<ProjectedCase> ProjectedCases() {
+  auto dated = [](const std::string& date) {
+    return R"({"date":)" + date + R"(,"dataType":"TMIN","station":"S9"})";
+  };
+  return {
+      {"garbage", dated(R"("garbage")"), ""},
+      {"number", dated("20031225"), ""},
+      {"null", dated("null"), ""},
+      {"true", dated("true"), ""},
+      {"object", dated(R"({"d":"20031225T00:00"})"), ""},
+      {"array", dated(R"(["20031225T00:00"])"), ""},
+      {"escaped kept date", dated(R"("2003122\u0035T00:00")"), ""},
+      {"escaped dropped date", dated(R"("2002070\u0034T00:00")"), ""},
+      {"bad escape", dated(R"("20031225T00:00\q")"), ""},
+      {"unpaired surrogate", dated(R"("20031225T00:00\ud800")"), ""},
+      {"bad number", dated("-e5"), ""},
+      {"duplicate date keys",
+       R"({"date":"20020704T00:00","date":"20031224T00:00","station":"S9"})",
+       ""},
+      {"truncated date", dated(R"("20020704T00:00")"),
+       R"({"date":"20031225T00)"},
+      {"truncated results", dated(R"("20020704T00:00")"),
+       R"({"results":[{"date":"20031225T00:00"},{"date":"2002)"},
+  };
+}
+
+/// Runs `query` with the filter off and on and expects the same answer
+/// and the same count of selected items. Returns the run with the
+/// filter on.
+Answer ExpectProjectedRunsAgree(const Collection& data, const char* query,
+                                const ExecOptions& exec) {
+  const Answer off = Execute(data, query, exec, false);
+  Answer on = Execute(data, query, exec, true);
+  ExpectAnswerMatches(off, on);
+  EXPECT_EQ(off.stats.scan_items_filtered, 0u);
+  if (on.status.ok()) {
+    EXPECT_EQ(on.stats.items_scanned, off.stats.items_scanned);
+  }
+  return on;
+}
+
+TEST(ScanFilterTest, ProjectedValuesMatchWithoutTheFilter) {
+  int answered = 0;
+  int filtered_column_reads = 0;
+  for (const ProjectedCase& odd : ProjectedCases()) {
+    StorageManager::Instance().Clear();
+    TempDir dir;
+    Collection data;
+    data.files.push_back(
+        dir.Write("odd.ndjson", NdjsonWith(odd.odd) + odd.tail));
+    data.files.push_back(dir.Write(
+        "clean.ndjson", Record("TMIN", "20041224T00:00", 30) + "\n"));
+    // Columns learned by unfiltered lenient scans of the bare paths.
+    ExecOptions build;
+    build.on_parse_error = ParseErrorPolicy::kSkipAndCount;
+    build.storage_mode = StorageMode::kAuto;
+    for (int i = 0; i < 2; ++i) {
+      Execute(data, R"(for $d in collection("/sensors")("date") return $d)",
+              build, false);
+      Execute(data,
+              R"(for $d in collection("/sensors")("results")()("date") )"
+              "return $d",
+              build, false);
+    }
+    for (const char* query :
+         {kProjectedDateQuery, kNestedProjectedDateQuery}) {
+      for (ParseErrorPolicy policy :
+           {ParseErrorPolicy::kFail, ParseErrorPolicy::kSkipAndCount}) {
+        for (ExprMode mode : {ExprMode::kTree, ExprMode::kBytecode}) {
+          for (StorageMode read : {StorageMode::kOff, StorageMode::kTape,
+                                   StorageMode::kColumnar}) {
+            for (int partitions = 1; partitions <= 3; ++partitions) {
+              for (bool threads : {false, true}) {
+                const bool lenient =
+                    policy == ParseErrorPolicy::kSkipAndCount;
+                SCOPED_TRACE(
+                    std::string(odd.name) + " | " + query +
+                    (lenient ? " | lenient" : " | strict") +
+                    (mode == ExprMode::kTree ? " tuple" : " batch") +
+                    (read == StorageMode::kOff    ? " text"
+                     : read == StorageMode::kTape ? " tape"
+                                                  : " column") +
+                    " p=" + std::to_string(partitions) +
+                    (threads ? " threaded" : ""));
+                ExecOptions exec;
+                exec.on_parse_error = policy;
+                exec.expr_mode = mode;
+                exec.storage_mode = read;
+                exec.partitions = partitions;
+                exec.use_threads = threads;
+                const Answer on = ExpectProjectedRunsAgree(data, query, exec);
+                if (read == StorageMode::kColumnar) {
+                  // The warm read answers as the cold text scan.
+                  ExecOptions cold = exec;
+                  cold.storage_mode = StorageMode::kOff;
+                  ExpectAnswerMatches(Execute(data, query, cold, false), on);
+                }
+                if (!on.status.ok()) continue;
+                ++answered;
+                // Every file holds a date the SELECT rejects; only a
+                // degraded batch scan runs without the filter.
+                EXPECT_EQ(on.stats.scan_items_filtered > 0,
+                          !(lenient && mode == ExprMode::kBytecode));
+                if (read == StorageMode::kTape) {
+                  EXPECT_GT(on.stats.tape_hits + on.stats.tape_builds, 0u);
+                }
+                if (on.stats.columns_read > 0 &&
+                    on.stats.scan_items_filtered > 0) {
+                  ++filtered_column_reads;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // Not vacuous: the clean and lenient cases answer, and the filter
+  // probes cached binary values too.
+  EXPECT_GE(answered, 700);
+  EXPECT_GE(filtered_column_reads, 150);
+}
+
+// Q0b's filter drops exactly the dates its SELECT rejects, on text,
+// tape and warm-column reads alike: the items it keeps are the result
+// rows.
+TEST(ScanFilterTest, Q0bFilteredCounterCountsDroppedDates) {
+  StorageManager::Instance().Clear();
+  TempDir dir;
+  SensorDataSpec spec;
+  spec.num_files = 4;
+  spec.records_per_file = 10;
+  spec.measurements_per_array = 20;
+  spec.num_stations = 5;
+  spec.end_year = 2004;
+  spec.seed = 23;
+  Collection data;
+  for (int f = 0; f < spec.num_files; ++f) {
+    data.files.push_back(dir.Write("sensors_" + std::to_string(f) + ".json",
+                                   GenerateSensorFile(spec, f)));
+  }
+  WarmColumns(data, jparbench::kQ0b, ExecOptions());
+  ExecOptions exec;
+  exec.storage_mode = StorageMode::kOff;
+  const Answer cold = Execute(data, jparbench::kQ0b, exec, false);
+  ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
+  ASSERT_GT(cold.stats.result_rows, 0u);
+  for (StorageMode read :
+       {StorageMode::kOff, StorageMode::kTape, StorageMode::kColumnar}) {
+    SCOPED_TRACE(static_cast<int>(read));
+    exec.storage_mode = read;
+    const Answer on = Execute(data, jparbench::kQ0b, exec, true);
+    ExpectAnswerMatches(cold, on);
+    EXPECT_GT(on.stats.scan_items_filtered, 0u);
+    EXPECT_EQ(on.stats.items_scanned - on.stats.scan_items_filtered,
+              on.stats.result_rows);
+    EXPECT_EQ(on.stats.items_scanned, cold.stats.items_scanned);
+    EXPECT_EQ(on.stats.columns_read > 0, read == StorageMode::kColumnar);
   }
 }
 
